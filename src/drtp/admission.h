@@ -1,12 +1,12 @@
 // Shared admission path: one connection request, start to finish.
 //
-// Both the offline simulator (sim::RunScenario) and the online daemon
-// (svc::Engine) admit connections; replay equivalence between them —
-// feeding the daemon's request log through the simulator must reproduce
-// the same ledger / APLV state — holds only if both run the *same* code:
-// route discovery, all-or-nothing primary establishment, the
-// vacuous-backup shun, backup registration, and optional multi-backup
-// protection. This is that code. Callers layer their own bookkeeping
+// sim::EventApplier admits every connection, for the offline simulator
+// (sim::RunScenario) and the online daemon (svc::Engine) alike; replay
+// equivalence between them — feeding the daemon's WAL through the
+// simulator must reproduce the same ledger / APLV state — rests on both
+// running this code: route discovery, all-or-nothing primary
+// establishment, the vacuous-backup shun, backup registration, and
+// optional multi-backup protection. Callers layer their own bookkeeping
 // (sim metrics, daemon RPC responses) on the returned outcome.
 #pragma once
 

@@ -1,18 +1,13 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
-#include "drtp/admission.h"
 #include "drtp/failure.h"
 #include "obs/metrics.h"
+#include "sim/event_applier.h"
 
 namespace drtp::sim {
 namespace {
@@ -21,21 +16,24 @@ namespace {
 /// feed the sweep ProgressReporter's live readout and per-cell snapshot
 /// tags; under DRTP_OBS_DISABLED every Add is a no-op.
 struct SimCounters {
-  obs::Counter requests = obs::GetCounter("drtp.sim.requests");
+  /// One per ScenarioEvent::Type, in enum order: every request, and the
+  /// other kinds when they take effect.
+  obs::Counter events[8] = {
+      obs::GetCounter("drtp.sim.requests"),
+      obs::GetCounter("drtp.sim.releases"),
+      obs::GetCounter("drtp.sim.link_fails"),
+      obs::GetCounter("drtp.sim.link_repairs"),
+      obs::GetCounter("drtp.sim.node_fails"),
+      obs::GetCounter("drtp.sim.node_repairs"),
+      obs::GetCounter("drtp.sim.srlg_fails"),
+      obs::GetCounter("drtp.sim.srlg_repairs")};
   obs::Counter admits = obs::GetCounter("drtp.sim.admits");
   obs::Counter blocks = obs::GetCounter("drtp.sim.blocks");
-  obs::Counter releases = obs::GetCounter("drtp.sim.releases");
-  obs::Counter link_fails = obs::GetCounter("drtp.sim.link_fails");
-  obs::Counter link_repairs = obs::GetCounter("drtp.sim.link_repairs");
   obs::Counter failovers = obs::GetCounter("drtp.sim.failovers");
   obs::Counter drops = obs::GetCounter("drtp.sim.drops");
   obs::Counter backup_breaks = obs::GetCounter("drtp.sim.backup_breaks");
   obs::Counter reestablishes =
       obs::GetCounter("drtp.sim.backups_reestablished");
-  obs::Counter node_fails = obs::GetCounter("drtp.sim.node_fails");
-  obs::Counter node_repairs = obs::GetCounter("drtp.sim.node_repairs");
-  obs::Counter srlg_fails = obs::GetCounter("drtp.sim.srlg_fails");
-  obs::Counter srlg_repairs = obs::GetCounter("drtp.sim.srlg_repairs");
   obs::Counter degraded = obs::GetCounter("drtp.sim.degraded");
   obs::Counter reprotect_retries =
       obs::GetCounter("drtp.sim.reprotect_retries");
@@ -47,27 +45,10 @@ const SimCounters& Counters() {
   return counters;
 }
 
-std::string_view EventLabel(ScenarioEvent::Type type) {
-  switch (type) {
-    case ScenarioEvent::Type::kRequest:
-      return "request";
-    case ScenarioEvent::Type::kRelease:
-      return "release";
-    case ScenarioEvent::Type::kLinkFail:
-      return "link_fail";
-    case ScenarioEvent::Type::kLinkRepair:
-      return "link_repair";
-    case ScenarioEvent::Type::kNodeFail:
-      return "node_fail";
-    case ScenarioEvent::Type::kNodeRepair:
-      return "node_repair";
-    case ScenarioEvent::Type::kSrlgFail:
-      return "srlg_fail";
-    case ScenarioEvent::Type::kSrlgRepair:
-      return "srlg_repair";
-  }
-  return "?";
-}
+/// after_event labels, one per ScenarioEvent::Type in enum order.
+constexpr std::string_view kEventLabels[] = {
+    "request",   "release",     "link_fail", "link_repair",
+    "node_fail", "node_repair", "srlg_fail", "srlg_repair"};
 
 }  // namespace
 
@@ -83,10 +64,18 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
   // — bad input, not a mid-replay invariant trip.
   scenario.Validate(topo);
 
-  core::DrtpNetwork net(topo, core::NetworkConfig{
-                                  .spare_mode = config.spare_mode,
-                                  .duplex_failures = false});
-  lsdb::LinkStateDb db(topo.num_links(), topo.num_links());
+  // The jitter seed is combined with the traffic seed so replays stay
+  // deterministic while distinct cells decorrelate.
+  EventApplier applier(
+      topo, scheme,
+      ApplierConfig{
+          .spare_mode = config.spare_mode,
+          .num_backups = config.num_backups,
+          .reprotect_max_retries = config.reprotect_max_retries,
+          .reprotect_backoff = config.reprotect_backoff,
+          .reprotect_seed = config.reprotect_seed ^ scenario.traffic.seed});
+  const core::DrtpNetwork& net = applier.network();
+  TraceSink* const trace = config.trace;
 
   RunMetrics m;
   m.scheme = scheme.name();
@@ -94,34 +83,32 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
   m.measure_end = duration;
 
   const bool instant = config.lsdb_refresh_interval <= 0.0;
-  net.PublishTo(db, 0.0);
+  applier.Publish(0.0);
   Time next_refresh = instant ? kTimeInfinity : config.lsdb_refresh_interval;
 
-  // Time-weighted active-connection count over the measurement window.
+  // Time-weighted active-connection count over the measurement window;
+  // called after every event that changes the count.
   TimeWeightedStat window;
   int active_count = 0;
-  const auto note_active = [&](Time t, int count) {
+  const auto note_active = [&](Time t) {
     // The measurement window is [warmup, duration]; trailing releases
     // beyond the horizon no longer affect the average.
     const Time clamped = std::min(t, duration);
     if (clamped >= config.warmup) {
       if (!window.started()) window.Set(config.warmup, active_count);
-      window.Set(clamped, count);
+      window.Set(clamped, net.ActiveCount());
     }
-    active_count = count;
+    active_count = net.ActiveCount();
   };
 
   Time next_sample = config.warmup;
-  const auto sample = [&](Time t) {
+  const auto sample = [&] {
     m.pbk.Merge(core::EvaluateAllSingleLinkFailures(net));
     if (topo.has_srlgs()) m.pbk_srlg.Merge(core::EvaluateSrlgSurvival(net));
     m.prime_bw.Add(static_cast<double>(net.ledger().TotalPrime()));
     m.spare_bw.Add(static_cast<double>(net.ledger().TotalSpare()));
     if (config.check_consistency) net.CheckConsistency();
-    (void)t;
   };
-
-  std::unordered_set<ConnId> admitted_ids;
 
   // Scratch for the per-link APLV annotations attached to admit /
   // reestablish trace records; only filled when tracing is on.
@@ -144,374 +131,177 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     }
   };
 
-  const bool protecting = scheme.wants_backup() && config.num_backups > 0;
-  core::RoutingScheme* reroute =
-      config.num_backups > 0 ? &scheme : nullptr;
-
-  // --- graceful degradation: bounded jittered-backoff re-protection --------
-  // Connections whose step-4 re-protection found no feasible backup keep
-  // running *unprotected* and retry with exponential backoff; the jitter
-  // decorrelates retries after a burst without losing determinism.
-  Rng reprotect_rng(config.reprotect_seed ^ scenario.traffic.seed);
-  struct Reprotect {
-    Time at = 0.0;
-    std::int64_t seq = 0;  // FIFO tie-break at equal times
-    ConnId conn = kInvalidConn;
-    int attempt = 1;
-  };
-  const auto retry_after = [](const Reprotect& a, const Reprotect& b) {
-    return a.at > b.at || (a.at == b.at && a.seq > b.seq);
-  };
-  std::vector<Reprotect> retries;  // min-heap on (at, seq)
-  std::int64_t retry_seq = 0;
-  // Connections currently degraded (admitted, protection wanted, no
-  // backup). Guards against double-counting when overlapping failures hit
-  // the same connection again while it is still exposed.
-  std::unordered_set<ConnId> degraded_pending;
-
-  const auto schedule_retry = [&](ConnId id, int attempt, Time from) {
-    const double nominal =
-        config.reprotect_backoff * std::ldexp(1.0, attempt - 1);
-    retries.push_back(
-        Reprotect{.at = from + nominal * reprotect_rng.UniformReal(0.5, 1.5),
-                  .seq = retry_seq++,
-                  .conn = id,
-                  .attempt = attempt});
-    std::push_heap(retries.begin(), retries.end(), retry_after);
-  };
-
-  const auto handle_retry = [&](const Reprotect& r) {
-    const core::DrConnection* conn = net.Find(r.conn);
-    if (conn == nullptr || conn->has_backup()) {
-      // Released, dropped, or re-protected by a later failure's step 4.
-      degraded_pending.erase(r.conn);
-      return;
-    }
+  const auto handle_retry = [&] {
+    const RetryOutcome r = applier.ApplyNextRetry();
+    if (!r.attempted) return;
     ++m.reprotect_retries;
     Counters().reprotect_retries.Add();
-    net.PublishTo(db, r.at);
-    auto backup = scheme.SelectBackupFor(net, db, conn->primary, conn->bw);
-    const bool usable =
-        backup.has_value() &&
-        backup->OverlapCount(conn->primary) < conn->primary.hops() &&
-        std::all_of(backup->links().begin(), backup->links().end(),
-                    [&](LinkId l) { return net.IsLinkUp(l); });
-    if (usable) {
-      m.overbooked_hops += net.RegisterBackup(r.conn, *backup);
+    if (r.recovered) {
+      m.overbooked_hops += r.overbooked_hops;
       ++m.reprotect_recovered;
       Counters().reprotects.Add();
-      degraded_pending.erase(r.conn);
-      if (config.trace != nullptr) {
-        config.trace->OnReestablish(r.at, r.conn, *backup,
-                                    backup_aplv(*backup));
+      if (trace != nullptr) {
+        const routing::Path& backup = *net.Find(r.conn)->first_backup();
+        trace->OnReestablish(r.at, r.conn, backup, backup_aplv(backup));
       }
-    } else if (r.attempt < config.reprotect_max_retries) {
-      schedule_retry(r.conn, r.attempt + 1, r.at);
-    } else {
+    } else if (r.exhausted) {
       ++m.reprotect_exhausted;
-      degraded_pending.erase(r.conn);
     }
     if (config.after_event) {
       config.after_event(net, r.at, "reprotect_retry", nullptr);
     }
   };
 
-  // Marks every connection the failure left admitted-but-unprotected and
-  // schedules its first re-protection retry.
-  const auto mark_degraded = [&](Time t,
-                                 const core::SwitchoverReport& report) {
-    if (!protecting) return;
-    for (const std::vector<ConnId>* ids :
-         {&report.recovered, &report.backups_lost}) {
-      for (const ConnId id : *ids) {
-        const core::DrConnection* conn = net.Find(id);
-        if (conn == nullptr || conn->has_backup()) continue;
-        if (!degraded_pending.insert(id).second) continue;
-        ++m.degraded;
-        Counters().degraded.Add();
-        if (config.trace != nullptr) {
-          config.trace->OnDegrade(t, id, config.reprotect_max_retries);
-        }
-        if (config.reprotect_max_retries > 0) {
-          schedule_retry(id, 1, t);
-        }
+  // Interleaves P_bk samples and due re-protection retries in time order
+  // up to `until`.
+  const auto advance_to = [&](Time until) {
+    while (true) {
+      const Time ts = next_sample <= duration ? next_sample : kTimeInfinity;
+      const Time tr = applier.NextRetryTime();
+      if (ts > until && tr > until) break;
+      if (tr <= ts) {
+        handle_retry();
+      } else {
+        sample();
+        next_sample += config.sample_interval;
       }
     }
   };
 
-  // Shared failure bookkeeping: metrics, counters, per-connection trace
-  // fan-out, degradation marking, scheme + LSDB refresh. The caller has
-  // already emitted the aggregate trace line for its failure kind.
-  const auto fanout_failure = [&](Time t,
-                                  const core::SwitchoverReport& report) {
-    m.failover_recovered +=
-        static_cast<std::int64_t>(report.recovered.size());
-    m.failover_dropped += static_cast<std::int64_t>(report.dropped.size());
-    m.backups_broken +=
-        static_cast<std::int64_t>(report.backups_lost.size());
-    m.backups_reestablished +=
-        static_cast<std::int64_t>(report.rerouted.size());
-    for (const ConnId id : report.dropped) {
-      admitted_ids.erase(id);
-      degraded_pending.erase(id);
+  const auto on_admission = [&](const ScenarioEvent& e,
+                                const core::AdmitOutcome& out) {
+    ++m.requests;
+    m.control_messages += out.control_messages;
+    m.control_bytes += out.control_bytes;
+    if (!out.admitted) {
+      ++m.blocked;
+      Counters().blocks.Add();
+      if (trace != nullptr) trace->OnBlock(e.time, e.conn, e.src, e.dst);
+      return;
     }
-    for (const ConnId id : report.rerouted) degraded_pending.erase(id);
-    note_active(t, net.ActiveCount());
-    Counters().failovers.Add(
-        static_cast<std::int64_t>(report.recovered.size()));
-    Counters().drops.Add(static_cast<std::int64_t>(report.dropped.size()));
-    Counters().backup_breaks.Add(
-        static_cast<std::int64_t>(report.backups_lost.size()));
-    Counters().reestablishes.Add(
-        static_cast<std::int64_t>(report.rerouted.size()));
-    if (config.trace != nullptr) {
-      // Per-connection consequences, in the report's (deterministic)
-      // order, following the aggregate line.
-      for (const ConnId id : report.recovered) {
-        const core::DrConnection* conn = net.Find(id);
-        if (conn != nullptr) {
-          config.trace->OnFailover(t, id, conn->primary);
-        }
-      }
-      for (const ConnId id : report.dropped) {
-        config.trace->OnDrop(t, id);
-      }
-      for (const ConnId id : report.backups_lost) {
-        config.trace->OnBackupBreak(t, id);
-      }
-      for (const ConnId id : report.rerouted) {
-        const core::DrConnection* conn = net.Find(id);
-        const routing::Path* backup =
-            conn != nullptr ? conn->first_backup() : nullptr;
-        if (backup != nullptr) {
-          config.trace->OnReestablish(t, id, *backup, backup_aplv(*backup));
-        }
-      }
+    ++m.admitted;
+    m.primary_hops.Add(out.primary->hops());
+    if (out.backup.has_value()) {
+      m.overbooked_hops += out.overbooked_hops;
+      ++m.with_backup;
+      m.backup_hops.Add(out.backup->hops());
+      m.backup_overlap_links += out.backup->OverlapCount(*out.primary);
     }
-    mark_degraded(t, report);
-    scheme.OnTopologyChanged(net);
-    if (instant) net.PublishTo(db, t);
+    note_active(e.time);
+    Counters().admits.Add();
+    if (trace != nullptr) {
+      const core::DrConnection* conn = net.Find(e.conn);
+      const routing::Path* backup = conn->first_backup();
+      trace->OnAdmit(e.time, e.conn, conn->primary, backup, e.bw,
+                     backup != nullptr ? backup_aplv(*backup) : BackupAplv{});
+    }
   };
 
-  // Links taken down by an enacted node / SRLG failure, so the matching
-  // repair restores exactly that set (members already down beforehand —
-  // e.g. from an overlapping link failure — keep their own repair event).
-  std::unordered_map<NodeId, std::vector<LinkId>> node_downed;
-  std::unordered_map<SrlgId, std::vector<LinkId>> srlg_downed;
-
-  // Restores whichever of `links` are still down; true if any came up.
-  const auto repair_links = [&](const std::vector<LinkId>& links) {
-    bool any = false;
-    for (const LinkId l : links) {
-      if (!net.IsLinkUp(l)) {
-        net.SetLinkUp(l);
-        any = true;
+  // An enacted link / node / SRLG failure: the aggregate trace line, then
+  // metrics, counters and per-connection traces in the report's order.
+  const auto on_failure = [&](const ScenarioEvent& e,
+                              const EventOutcome& out) {
+    const core::SwitchoverReport& report = out.report;
+    const auto recovered = static_cast<int>(report.recovered.size());
+    const auto dropped = static_cast<int>(report.dropped.size());
+    const auto lost = static_cast<int>(report.backups_lost.size());
+    const auto rerouted = static_cast<std::int64_t>(report.rerouted.size());
+    const auto degraded = static_cast<std::int64_t>(out.degraded.size());
+    ++m.failures_enacted;
+    if (trace != nullptr) {
+      if (e.type == ScenarioEvent::Type::kLinkFail) {
+        trace->OnLinkFail(e.time, e.link, recovered, dropped, lost);
+      } else if (e.type == ScenarioEvent::Type::kNodeFail) {
+        trace->OnNodeFail(e.time, e.node, recovered, dropped, lost);
+      } else {
+        trace->OnSrlgFail(e.time, e.srlg, recovered, dropped, lost);
       }
     }
-    return any;
+    m.failover_recovered += recovered;
+    m.failover_dropped += dropped;
+    m.backups_broken += lost;
+    m.backups_reestablished += rerouted;
+    m.degraded += degraded;
+    note_active(e.time);
+    Counters().failovers.Add(recovered);
+    Counters().drops.Add(dropped);
+    Counters().backup_breaks.Add(lost);
+    Counters().reestablishes.Add(rerouted);
+    Counters().degraded.Add(degraded);
+    if (trace == nullptr) return;
+    for (const ConnId id : report.recovered) {
+      const core::DrConnection* conn = net.Find(id);
+      if (conn != nullptr) trace->OnFailover(e.time, id, conn->primary);
+    }
+    for (const ConnId id : report.dropped) trace->OnDrop(e.time, id);
+    for (const ConnId id : report.backups_lost) {
+      trace->OnBackupBreak(e.time, id);
+    }
+    for (const ConnId id : report.rerouted) {
+      const core::DrConnection* conn = net.Find(id);
+      const routing::Path* backup =
+          conn != nullptr ? conn->first_backup() : nullptr;
+      if (backup != nullptr) {
+        trace->OnReestablish(e.time, id, *backup, backup_aplv(*backup));
+      }
+    }
+    for (const ConnId id : out.degraded) {
+      trace->OnDegrade(e.time, id, config.reprotect_max_retries);
+    }
   };
 
   for (const ScenarioEvent& e : scenario.events) {
     maybe_inspect(e.time);
-    // Interleave P_bk samples and due re-protection retries in time order
-    // up to this event.
-    while (true) {
-      const Time ts = next_sample <= duration ? next_sample : kTimeInfinity;
-      const Time tr = retries.empty() ? kTimeInfinity : retries.front().at;
-      if (ts > e.time && tr > e.time) break;
-      if (tr <= ts) {
-        std::pop_heap(retries.begin(), retries.end(), retry_after);
-        const Reprotect r = retries.back();
-        retries.pop_back();
-        handle_retry(r);
-      } else {
-        sample(next_sample);
-        next_sample += config.sample_interval;
-      }
-    }
+    advance_to(e.time);
     while (next_refresh <= e.time) {
       // The periodic refresh is a full re-advertisement by construction
       // (the paper's refresh cycle re-floods everything), and doubles as
       // the incremental path's safety net.
-      net.PublishFullTo(db, next_refresh);
+      applier.PublishFull(next_refresh);
       next_refresh += config.lsdb_refresh_interval;
     }
 
-    // Non-null for enacted failures when after_event fires below.
-    std::optional<core::SwitchoverReport> event_report;
-
-    if (e.type == ScenarioEvent::Type::kRequest) {
-      ++m.requests;
-      Counters().requests.Add();
-      if (config.trace != nullptr) {
-        config.trace->OnRequest(e.time, e.conn, e.src, e.dst, e.bw);
-      }
-      // The admission sequence itself (route discovery, establishment,
-      // vacuous-backup shun, backup registration) lives in
-      // core::AdmitConnection, shared with the daemon so that replaying a
-      // daemon request log here reproduces the same state.
-      const core::AdmitOutcome out = core::AdmitConnection(
-          scheme, net, db, e.conn, e.src, e.dst, e.bw, e.time,
-          core::AdmitOptions{.num_backups = config.num_backups});
-      m.control_messages += out.control_messages;
-      m.control_bytes += out.control_bytes;
-      if (out.admitted) {
-        ++m.admitted;
-        admitted_ids.insert(e.conn);
-        m.primary_hops.Add(out.primary->hops());
-        if (out.backup.has_value()) {
-          m.overbooked_hops += out.overbooked_hops;
-          ++m.with_backup;
-          m.backup_hops.Add(out.backup->hops());
-          m.backup_overlap_links += out.backup->OverlapCount(*out.primary);
-        }
-        note_active(e.time, active_count + 1);
-        Counters().admits.Add();
-        if (config.trace != nullptr) {
-          const core::DrConnection* conn = net.Find(e.conn);
-          const routing::Path* backup = conn->first_backup();
-          config.trace->OnAdmit(e.time, e.conn, conn->primary, backup,
-                                e.bw,
-                                backup != nullptr ? backup_aplv(*backup)
-                                                  : BackupAplv{});
-        }
-        if (instant) net.PublishTo(db, e.time);
-      } else {
-        ++m.blocked;
-        Counters().blocks.Add();
-        if (config.trace != nullptr) {
-          config.trace->OnBlock(e.time, e.conn, e.src, e.dst);
-        }
-      }
-    } else if (e.type == ScenarioEvent::Type::kRelease) {
-      // Releases of never-admitted (blocked) connections are no-ops;
-      // connections dropped by an earlier failure were already erased.
-      if (admitted_ids.erase(e.conn) > 0 && net.Find(e.conn) != nullptr) {
-        net.ReleaseConnection(e.conn);
-        note_active(e.time, active_count - 1);
-        Counters().releases.Add();
-        if (config.trace != nullptr) config.trace->OnRelease(e.time, e.conn);
-        if (instant) net.PublishTo(db, e.time);
-      }
-    } else if (e.type == ScenarioEvent::Type::kLinkFail) {
-      if (net.IsLinkUp(e.link)) {
-        ++m.failures_enacted;
-        event_report =
-            core::ApplyLinkFailure(net, e.link, e.time, reroute, &db);
-        Counters().link_fails.Add();
-        if (config.trace != nullptr) {
-          config.trace->OnLinkFail(
-              e.time, e.link,
-              static_cast<int>(event_report->recovered.size()),
-              static_cast<int>(event_report->dropped.size()),
-              static_cast<int>(event_report->backups_lost.size()));
-        }
-        fanout_failure(e.time, *event_report);
-      }
-    } else if (e.type == ScenarioEvent::Type::kLinkRepair) {
-      if (!net.IsLinkUp(e.link)) {
-        net.SetLinkUp(e.link);
-        Counters().link_repairs.Add();
-        scheme.OnTopologyChanged(net);
-        if (config.trace != nullptr) {
-          config.trace->OnLinkRepair(e.time, e.link);
-        }
-        if (instant) net.PublishTo(db, e.time);
-      }
-    } else if (e.type == ScenarioEvent::Type::kNodeFail) {
-      // Range-checked by scenario.Validate above.
-      std::vector<LinkId> taking_down;
-      for (const LinkId l : core::IncidentLinks(topo, e.node)) {
-        if (net.IsLinkUp(l)) taking_down.push_back(l);
-      }
-      if (!taking_down.empty()) {
-        ++m.failures_enacted;
-        event_report = core::ApplyLinkSetFailure(net, taking_down, e.time,
-                                                 reroute, &db);
-        node_downed[e.node] = std::move(taking_down);
-        Counters().node_fails.Add();
-        if (config.trace != nullptr) {
-          config.trace->OnNodeFail(
-              e.time, e.node,
-              static_cast<int>(event_report->recovered.size()),
-              static_cast<int>(event_report->dropped.size()),
-              static_cast<int>(event_report->backups_lost.size()));
-        }
-        fanout_failure(e.time, *event_report);
-      }
-    } else if (e.type == ScenarioEvent::Type::kNodeRepair) {
-      const auto it = node_downed.find(e.node);
-      if (it != node_downed.end()) {
-        const bool any = repair_links(it->second);
-        node_downed.erase(it);
-        if (any) {
-          Counters().node_repairs.Add();
-          scheme.OnTopologyChanged(net);
-          if (config.trace != nullptr) {
-            config.trace->OnNodeRepair(e.time, e.node);
-          }
-          if (instant) net.PublishTo(db, e.time);
-        }
-      }
-    } else if (e.type == ScenarioEvent::Type::kSrlgFail) {
-      // Range-checked by scenario.Validate above.
-      std::vector<LinkId> taking_down;
-      for (const LinkId l : topo.LinksInSrlg(e.srlg)) {
-        if (net.IsLinkUp(l)) taking_down.push_back(l);
-      }
-      if (!taking_down.empty()) {
-        ++m.failures_enacted;
-        event_report = core::ApplyLinkSetFailure(net, taking_down, e.time,
-                                                 reroute, &db);
-        srlg_downed[e.srlg] = std::move(taking_down);
-        Counters().srlg_fails.Add();
-        if (config.trace != nullptr) {
-          config.trace->OnSrlgFail(
-              e.time, e.srlg,
-              static_cast<int>(event_report->recovered.size()),
-              static_cast<int>(event_report->dropped.size()),
-              static_cast<int>(event_report->backups_lost.size()));
-        }
-        fanout_failure(e.time, *event_report);
-      }
-    } else {  // kSrlgRepair
-      const auto it = srlg_downed.find(e.srlg);
-      if (it != srlg_downed.end()) {
-        const bool any = repair_links(it->second);
-        srlg_downed.erase(it);
-        if (any) {
-          Counters().srlg_repairs.Add();
-          scheme.OnTopologyChanged(net);
-          if (config.trace != nullptr) {
-            config.trace->OnSrlgRepair(e.time, e.srlg);
-          }
-          if (instant) net.PublishTo(db, e.time);
-        }
+    const bool request = e.type == ScenarioEvent::Type::kRequest;
+    if (request && trace != nullptr) {
+      trace->OnRequest(e.time, e.conn, e.src, e.dst, e.bw);
+    }
+    const EventOutcome out = applier.Apply(e);
+    if (request || out.changed()) {
+      Counters().events[static_cast<std::size_t>(e.type)].Add();
+    }
+    bool failure = false;
+    if (request) {
+      on_admission(e, out.admit);
+    } else if (out.changed()) {
+      switch (e.type) {
+        case ScenarioEvent::Type::kRelease:
+          note_active(e.time);
+          if (trace != nullptr) trace->OnRelease(e.time, e.conn);
+          break;
+        case ScenarioEvent::Type::kLinkRepair:
+          if (trace != nullptr) trace->OnLinkRepair(e.time, e.link);
+          break;
+        case ScenarioEvent::Type::kNodeRepair:
+          if (trace != nullptr) trace->OnNodeRepair(e.time, e.node);
+          break;
+        case ScenarioEvent::Type::kSrlgRepair:
+          if (trace != nullptr) trace->OnSrlgRepair(e.time, e.srlg);
+          break;
+        default:  // link, node and SRLG failures
+          failure = true;
+          on_failure(e, out);
       }
     }
+    if (instant && out.changed()) applier.Publish(e.time);
 
     if (config.after_event) {
-      config.after_event(net, e.time, EventLabel(e.type),
-                         event_report.has_value() ? &*event_report
-                                                  : nullptr);
+      config.after_event(net, e.time,
+                         kEventLabels[static_cast<std::size_t>(e.type)],
+                         failure ? &out.report : nullptr);
     }
   }
-  // Drain trailing samples and any retries scheduled before the horizon,
-  // still in time order.
-  while (true) {
-    const Time ts = next_sample <= duration ? next_sample : kTimeInfinity;
-    const Time tr = retries.empty() ? kTimeInfinity : retries.front().at;
-    if (ts > duration && tr > duration) break;
-    if (tr <= ts) {
-      std::pop_heap(retries.begin(), retries.end(), retry_after);
-      const Reprotect r = retries.back();
-      retries.pop_back();
-      handle_retry(r);
-    } else {
-      sample(next_sample);
-      next_sample += config.sample_interval;
-    }
-  }
+  // Drain trailing samples and any retries scheduled before the horizon.
+  advance_to(duration);
   if (!window.started()) window.Set(config.warmup, active_count);
   m.avg_active = window.Average(duration);
   if (config.after_event) {

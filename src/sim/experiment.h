@@ -1,5 +1,7 @@
 // Experiment driver: replays a scenario against one routing scheme on a
 // fresh copy of the network and collects RunMetrics.
+// sim::EventApplier applies the events, as for the daemon; this driver
+// adds metrics, traces, counters, P_bk samples and advertisement cadence.
 //
 // The driver owns the measurement protocol of §6: a warm-up period (the
 // network fills toward steady state — lifetimes are 20–60 min, so warm-up

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <cmath>
 #include <iterator>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "common/digest.h"
 #include "common/error.h"
 #include "common/json.h"
-#include "drtp/admission.h"
 #include "drtp/failure.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -40,6 +38,12 @@ const SvcCounters& Counters() {
 
 obs::FlightRecorder& Flight() { return obs::FlightRecorder::Global(); }
 
+/// Bumps an EngineStats field together with its drtp.svc.* counter.
+void Count(std::int64_t& stat, obs::Counter counter) {
+  ++stat;
+  counter.Add();
+}
+
 /// Stable small index for an error code, for flight-recorder args (the
 /// recorder stores only integers). Order mirrors the taxonomy listing in
 /// rpc.h / docs/DRTPD.md.
@@ -63,6 +67,16 @@ std::uint64_t FoldInt(std::uint64_t d, std::int64_t v) {
     d *= kFnv1aPrime;
   }
   return d;
+}
+
+/// Renders an error and counts it — all failures, decode and handler
+/// alike, route through here so stats_.errors matches the ok=false
+/// responses on the wire.
+std::string CountedError(EngineStats& stats, std::int64_t id,
+                         std::string_view code, const std::string& detail) {
+  Count(stats.errors, Counters().errors);
+  Flight().Record(obs::FlightKind::kError, id, ErrorCodeIndex(code));
+  return RenderErrorResponse(id, code, detail);
 }
 
 }  // namespace
@@ -99,12 +113,11 @@ std::uint64_t NetworkStateDigest(const core::DrtpNetwork& net) {
 
 Engine::Engine(const net::Topology& topo, EngineOptions options)
     : options_(std::move(options)),
-      net_(topo, core::NetworkConfig{.spare_mode = options_.spare_mode,
-                                     .duplex_failures = false}),
-      db_(topo.num_links(), topo.num_links()),
-      scheme_(sim::MakeScheme(options_.scheme, net_.topology(),
-                              options_.seed)) {
-  DRTP_CHECK(options_.num_backups >= 0);
+      scheme_(sim::MakeScheme(options_.scheme, topo, options_.seed)),
+      applier_(topo, *scheme_,
+               sim::ApplierConfig{.spare_mode = options_.spare_mode,
+                                  .num_backups = options_.num_backups,
+                                  .reprotect_max_retries = 0}) {
   if (options_.audit_interval > 0) {
     auditor_ = std::make_unique<fault::Auditor>(fault::AuditorOptions{
         .out = options_.audit_out,
@@ -114,16 +127,25 @@ Engine::Engine(const net::Topology& topo, EngineOptions options)
 
 Engine::~Engine() = default;
 
-Time Engine::NextEventTime() {
-  t_ += 1.0;
-  return t_;
-}
-
-void Engine::LogEvent(sim::ScenarioEvent event) {
-  if (options_.keep_request_log) log_.push_back(event);
-  // Group-commit buffer: ExecuteBatch appends these to the WAL (one
-  // record, one fsync) before the batch's responses are released.
-  batch_events_.push_back(event);
+void Engine::CommitBatch() {
+  if (wal_ != nullptr && !replaying_ && !batch_events_.empty()) {
+    // Durability point: the batch's effective events reach stable
+    // storage before any of its responses leave ExecuteBatch. A failed
+    // append (disk full, dead device) is fatal by design — releasing
+    // un-durable responses would break the recovery contract.
+    std::string err;
+    DRTP_CHECK_MSG(wal_->AppendBatch(batch_events_, &err),
+                   "wal group commit failed: " << err);
+    ++stats_.wal_batches;
+  }
+  batch_events_.clear();
+  Count(stats_.batches, Counters().batches);
+  if (auditor_ != nullptr && options_.audit_interval > 0 &&
+      stats_.batches % options_.audit_interval == 0) {
+    auditor_->Check(network(), t_, "batch_commit", nullptr);
+    AfterAuditCheck();
+  }
+  MaybeSnapshot();
 }
 
 std::vector<std::string> Engine::ExecuteBatch(
@@ -133,244 +155,165 @@ std::vector<std::string> Engine::ExecuteBatch(
   if (batch.empty()) return out;
   stats_.batch_last = static_cast<std::int64_t>(batch.size());
   // One snapshot per batch: every admission in the batch routes against
-  // this advertisement. Failure/repair events inside the batch
-  // re-publish immediately (see DoFailLink/DoRepairLink).
-  net_.PublishTo(db_, t_);
+  // this advertisement. Failures and repairs re-publish at once (Enact).
+  applier_.Publish(t_);
   for (const DecodedRequest& d : batch) {
-    ++stats_.frames;
-    Counters().frames.Add();
+    Count(stats_.frames, Counters().frames);
     if (!d.ok) {
-      ++stats_.errors;
-      Counters().errors.Add();
-      Flight().Record(obs::FlightKind::kError, d.id,
-                      ErrorCodeIndex(d.error_code));
-      out.push_back(
-          RenderErrorResponse(d.id, d.error_code, d.error_detail));
-      continue;
+      out.push_back(CountedError(stats_, d.id, d.error_code, d.error_detail));
+    } else if (d.request.method == Method::kAdmit) {
+      out.push_back(DoAdmit(d.request));
+    } else if (d.request.method == Method::kRelease) {
+      out.push_back(DoRelease(d.request));
+    } else if (d.request.method == Method::kStats) {
+      out.push_back(DoStats(d.request));
+    } else {  // fail-link, repair-link
+      out.push_back(DoLink(d.request));
     }
-    out.push_back(Execute(d.request));
   }
-  if (wal_ != nullptr && !replaying_ && !batch_events_.empty()) {
-    // Durability point: the batch's effective events reach stable
-    // storage before any of its responses leave this function. A failed
-    // append (disk full, dead device) is fatal by design — releasing
-    // un-durable responses would break the recovery contract.
-    std::string err;
-    DRTP_CHECK_MSG(wal_->AppendBatch(batch_events_, &err),
-                   "wal group commit failed: " << err);
-    ++stats_.wal_batches;
-  }
-  batch_events_.clear();
-  ++stats_.batches;
-  Counters().batches.Add();
-  if (auditor_ != nullptr && options_.audit_interval > 0 &&
-      stats_.batches % options_.audit_interval == 0) {
-    auditor_->Check(net_, t_, "batch_commit", nullptr);
-    AfterAuditCheck();
-  }
-  MaybeSnapshot();
+  CommitBatch();
   return out;
 }
 
-std::string Engine::Execute(const Request& req) {
-  switch (req.method) {
-    case Method::kAdmit:
-      return DoAdmit(req);
-    case Method::kRelease:
-      return DoRelease(req);
-    case Method::kFailLink:
-      return DoFailLink(req);
-    case Method::kRepairLink:
-      return DoRepairLink(req);
-    case Method::kStats:
-      return DoStats(req);
+sim::EventOutcome Engine::Enact(const sim::ScenarioEvent& e) {
+  // Group-commit buffer: CommitBatch appends these to the WAL (one
+  // record, one fsync) before the batch's responses are released.
+  batch_events_.push_back(e);
+  sim::EventOutcome out = applier_.Apply(e);
+  if (out.effect == sim::Effect::kNone) return out;
+  if (e.type == sim::ScenarioEvent::Type::kRequest && out.admit.admitted) {
+    Count(stats_.admitted, Counters().admits);
+    Flight().Record(obs::FlightKind::kAdmit, e.conn, out.admit.primary->hops(),
+                    out.admit.has_backup() ? 1 : 0);
+  } else if (e.type == sim::ScenarioEvent::Type::kRequest) {
+    Count(stats_.blocked, Counters().blocks);
+    Flight().Record(obs::FlightKind::kBlock, e.conn);
+  } else if (e.type == sim::ScenarioEvent::Type::kRelease) {
+    Count(stats_.released, Counters().releases);
+    Flight().Record(obs::FlightKind::kRelease, e.conn,
+                    network().ActiveCount());
+  } else if (e.type == sim::ScenarioEvent::Type::kLinkFail) {
+    // Failures re-advertise immediately even mid-batch: later admissions
+    // in this batch must not route onto a dead link.
+    applier_.Publish(e.time);
+    Count(stats_.link_fails, Counters().link_fails);
+    const core::SwitchoverReport& report = out.report;
+    Flight().Record(obs::FlightKind::kLinkFail, e.link,
+                    static_cast<std::int64_t>(report.recovered.size()),
+                    static_cast<std::int64_t>(report.dropped.size()),
+                    static_cast<std::int64_t>(report.backups_lost.size()));
+    // Per-connection protection transitions: step 4 re-protected some of
+    // the affected connections; the rest now run degraded.
+    for (const ConnId c : report.rerouted) {
+      Flight().Record(obs::FlightKind::kReprotect, c);
+    }
+    for (const ConnId c : out.degraded) {
+      Flight().Record(obs::FlightKind::kDegrade, c);
+    }
+    if (auditor_ != nullptr) {
+      auditor_->Check(network(), e.time, "link_fail", &report);
+      AfterAuditCheck();
+    }
+  } else {  // kLinkRepair: requests and the WAL carry no other kinds
+    applier_.Publish(e.time);
+    Count(stats_.link_repairs, Counters().link_repairs);
+    Flight().Record(obs::FlightKind::kLinkRepair, e.link);
   }
-  DRTP_CHECK_MSG(false, "unreachable method");
-  return {};
+  return out;
 }
-
-namespace {
-
-/// Renders an error and counts it — all handler failures route through
-/// here so stats_.errors matches the ok=false responses on the wire.
-std::string CountedError(EngineStats& stats, std::int64_t id,
-                         std::string_view code, const std::string& detail) {
-  ++stats.errors;
-  Counters().errors.Add();
-  Flight().Record(obs::FlightKind::kError, id, ErrorCodeIndex(code));
-  return RenderErrorResponse(id, code, detail);
-}
-
-}  // namespace
 
 std::string Engine::DoAdmit(const Request& req) {
-  const int nodes = net_.topology().num_nodes();
+  const int nodes = topology().num_nodes();
   if (req.src >= nodes || req.dst >= nodes) {
     return CountedError(stats_, req.id, kErrOutOfRange,
                         "node id out of range [0, " +
                             std::to_string(nodes) + ")");
   }
-  if (net_.Find(req.conn) != nullptr) {
+  if (network().Find(req.conn) != nullptr) {
     return CountedError(stats_, req.id, kErrConnExists,
                         "connection " + std::to_string(req.conn) +
                             " already active");
   }
-  const Time now = NextEventTime();
-  LogEvent({.type = sim::ScenarioEvent::Type::kRequest,
-            .time = now,
-            .conn = req.conn,
-            .src = req.src,
-            .dst = req.dst,
-            .bw = req.bw});
-  const core::AdmitOutcome out = core::AdmitConnection(
-      *scheme_, net_, db_, req.conn, req.src, req.dst, req.bw, now,
-      core::AdmitOptions{.num_backups = options_.num_backups});
+  const core::AdmitOutcome out =
+      Enact({.type = sim::ScenarioEvent::Type::kRequest,
+             .time = NextEventTime(),
+             .conn = req.conn,
+             .src = req.src,
+             .dst = req.dst,
+             .bw = req.bw})
+          .admit;
   JsonWriter w;
   w.BeginObject();
   w.Key("admitted").Bool(out.admitted);
   w.Key("conn").Int(req.conn);
   if (out.admitted) {
-    ++stats_.admitted;
-    Counters().admits.Add();
-    Flight().Record(obs::FlightKind::kAdmit, req.conn, out.primary->hops(),
-                    out.has_backup() ? 1 : 0);
     w.Key("primary_hops").Int(out.primary->hops());
     w.Key("protected").Bool(out.has_backup());
     w.Key("backup_hops").Int(out.backup.has_value() ? out.backup->hops() : 0);
     w.Key("overbooked_hops").Int(out.overbooked_hops);
     w.Key("extra_backups").Int(out.extra_backups);
-  } else {
-    ++stats_.blocked;
-    Counters().blocks.Add();
-    Flight().Record(obs::FlightKind::kBlock, req.conn);
   }
   w.EndObject();
   return RenderOkResponse(req.id, w.str());
 }
 
 std::string Engine::DoRelease(const Request& req) {
-  if (net_.Find(req.conn) == nullptr) {
+  if (network().Find(req.conn) == nullptr) {
     return CountedError(stats_, req.id, kErrNotFound,
                         "no active connection " + std::to_string(req.conn));
   }
-  const Time now = NextEventTime();
-  LogEvent({.type = sim::ScenarioEvent::Type::kRelease,
-            .time = now,
-            .conn = req.conn});
-  net_.ReleaseConnection(req.conn);
-  ++stats_.released;
-  Counters().releases.Add();
-  Flight().Record(obs::FlightKind::kRelease, req.conn, net_.ActiveCount());
+  Enact({.type = sim::ScenarioEvent::Type::kRelease,
+         .time = NextEventTime(),
+         .conn = req.conn});
   JsonWriter w;
   w.BeginObject();
   w.Key("released").Bool(true);
   w.Key("conn").Int(req.conn);
-  w.Key("active").Int(net_.ActiveCount());
+  w.Key("active").Int(network().ActiveCount());
   w.EndObject();
   return RenderOkResponse(req.id, w.str());
 }
 
-std::string Engine::DoFailLink(const Request& req) {
-  const int links = net_.topology().num_links();
+std::string Engine::DoLink(const Request& req) {
+  const int links = topology().num_links();
   if (req.link >= links) {
     return CountedError(stats_, req.id, kErrOutOfRange,
                         "link id out of range [0, " +
                             std::to_string(links) + ")");
   }
+  const bool fail = req.method == Method::kFailLink;
+  const bool changed = network().IsLinkUp(req.link) == fail;
   JsonWriter w;
   w.BeginObject();
   w.Key("link").Int(req.link);
-  if (!net_.IsLinkUp(req.link)) {
-    w.Key("changed").Bool(false);
-    w.EndObject();
-    return RenderOkResponse(req.id, w.str());
-  }
-  const Time now = NextEventTime();
-  LogEvent({.type = sim::ScenarioEvent::Type::kLinkFail,
-            .time = now,
-            .link = req.link});
-  core::RoutingScheme* reroute =
-      options_.num_backups > 0 ? scheme_.get() : nullptr;
-  const core::SwitchoverReport report =
-      core::ApplyLinkFailure(net_, req.link, now, reroute, &db_);
-  scheme_->OnTopologyChanged(net_);
-  // Failures re-advertise immediately even mid-batch: later admissions in
-  // this batch must not route onto a dead link.
-  net_.PublishTo(db_, now);
-  ++stats_.link_fails;
-  Counters().link_fails.Add();
-  Flight().Record(obs::FlightKind::kLinkFail, req.link,
-                  static_cast<std::int64_t>(report.recovered.size()),
-                  static_cast<std::int64_t>(report.dropped.size()),
-                  static_cast<std::int64_t>(report.backups_lost.size()));
-  // Per-connection protection transitions: step 4 re-protected some of
-  // the affected connections; the rest now run degraded.
-  for (const ConnId c : report.rerouted) {
-    Flight().Record(obs::FlightKind::kReprotect, c);
-  }
-  for (const ConnId c : report.recovered) {
-    const core::DrConnection* conn = net_.Find(c);
-    if (conn != nullptr && !conn->has_backup()) {
-      Flight().Record(obs::FlightKind::kDegrade, c);
+  w.Key("changed").Bool(changed);
+  if (changed) {
+    const sim::EventOutcome ev = Enact(
+        {.type = fail ? sim::ScenarioEvent::Type::kLinkFail
+                      : sim::ScenarioEvent::Type::kLinkRepair,
+         .time = NextEventTime(),
+         .link = req.link});
+    if (fail) {
+      const core::SwitchoverReport& r = ev.report;
+      w.Key("recovered").Int(static_cast<std::int64_t>(r.recovered.size()));
+      w.Key("dropped").Int(static_cast<std::int64_t>(r.dropped.size()));
+      w.Key("backups_lost")
+          .Int(static_cast<std::int64_t>(r.backups_lost.size()));
+      w.Key("rerouted").Int(static_cast<std::int64_t>(r.rerouted.size()));
     }
   }
-  for (const ConnId c : report.backups_lost) {
-    const core::DrConnection* conn = net_.Find(c);
-    if (conn != nullptr && !conn->has_backup()) {
-      Flight().Record(obs::FlightKind::kDegrade, c);
-    }
-  }
-  if (auditor_ != nullptr) {
-    auditor_->Check(net_, now, "link_fail", &report);
-    AfterAuditCheck();
-  }
-  w.Key("changed").Bool(true);
-  w.Key("recovered").Int(static_cast<std::int64_t>(report.recovered.size()));
-  w.Key("dropped").Int(static_cast<std::int64_t>(report.dropped.size()));
-  w.Key("backups_lost")
-      .Int(static_cast<std::int64_t>(report.backups_lost.size()));
-  w.Key("rerouted").Int(static_cast<std::int64_t>(report.rerouted.size()));
-  w.EndObject();
-  return RenderOkResponse(req.id, w.str());
-}
-
-std::string Engine::DoRepairLink(const Request& req) {
-  const int links = net_.topology().num_links();
-  if (req.link >= links) {
-    return CountedError(stats_, req.id, kErrOutOfRange,
-                        "link id out of range [0, " +
-                            std::to_string(links) + ")");
-  }
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("link").Int(req.link);
-  if (net_.IsLinkUp(req.link)) {
-    w.Key("changed").Bool(false);
-    w.EndObject();
-    return RenderOkResponse(req.id, w.str());
-  }
-  const Time now = NextEventTime();
-  LogEvent({.type = sim::ScenarioEvent::Type::kLinkRepair,
-            .time = now,
-            .link = req.link});
-  net_.SetLinkUp(req.link);
-  scheme_->OnTopologyChanged(net_);
-  net_.PublishTo(db_, now);
-  ++stats_.link_repairs;
-  Counters().link_repairs.Add();
-  Flight().Record(obs::FlightKind::kLinkRepair, req.link);
-  w.Key("changed").Bool(true);
   w.EndObject();
   return RenderOkResponse(req.id, w.str());
 }
 
 std::string Engine::DoStats(const Request& req) {
-  const Ratio pbk = core::EvaluateAllSingleLinkFailures(net_);
+  const core::DrtpNetwork& net = network();
+  const Ratio pbk = core::EvaluateAllSingleLinkFailures(net);
   JsonWriter w;
   w.BeginObject();
-  w.Key("nodes").Int(net_.topology().num_nodes());
-  w.Key("links").Int(net_.topology().num_links());
-  w.Key("active").Int(net_.ActiveCount());
+  w.Key("nodes").Int(net.topology().num_nodes());
+  w.Key("links").Int(net.topology().num_links());
+  w.Key("active").Int(net.ActiveCount());
   w.Key("frames").Int(stats_.frames);
   w.Key("errors").Int(stats_.errors);
   w.Key("admitted").Int(stats_.admitted);
@@ -379,21 +322,20 @@ std::string Engine::DoStats(const Request& req) {
   w.Key("link_fails").Int(stats_.link_fails);
   w.Key("link_repairs").Int(stats_.link_repairs);
   w.Key("batches").Int(stats_.batches);
-  w.Key("prime_kbps").Int(net_.ledger().TotalPrime());
-  w.Key("spare_kbps").Int(net_.ledger().TotalSpare());
+  w.Key("prime_kbps").Int(net.ledger().TotalPrime());
+  w.Key("spare_kbps").Int(net.ledger().TotalSpare());
   w.Key("overbooked_links")
-      .Int(static_cast<std::int64_t>(net_.OverbookedLinks().size()));
+      .Int(static_cast<std::int64_t>(net.OverbookedLinks().size()));
   w.Key("pbk_hits").Int(pbk.hits);
   w.Key("pbk_trials").Int(pbk.trials);
   w.Key("pbk").Double(pbk.value());
-  w.Key("digest").String(DigestHex(NetworkStateDigest(net_)));
+  w.Key("digest").String(DigestHex(NetworkStateDigest(net)));
   w.Key("audit_checks").Int(audit_checks());
   w.Key("audit_violations").Int(audit_violations());
   // PR 8 additions — deterministic for a fixed request sequence, so the
   // threads=1 vs threads=4 byte-equality contract still holds.
   w.Key("degraded").Int(DegradedCount());
   w.Key("batch_last").Int(stats_.batch_last);
-  w.Key("request_log_events").Int(static_cast<std::int64_t>(log_.size()));
   // PR 9 additions — all deterministic for a fixed request sequence
   // (shed is 0 unless the server actually hit its admission bound).
   w.Key("wal_batches").Int(stats_.wal_batches);
@@ -415,7 +357,7 @@ std::string Engine::DoStats(const Request& req) {
 
 std::int64_t Engine::DegradedCount() const {
   std::int64_t n = 0;
-  for (const auto& [id, conn] : net_.connections()) {
+  for (const auto& [id, conn] : network().connections()) {
     if (!conn.has_backup()) ++n;
   }
   return n;
@@ -433,29 +375,20 @@ void Engine::AfterAuditCheck() {
 
 std::int64_t Engine::FinalAudit() {
   if (auditor_ != nullptr) {
-    auditor_->Check(net_, t_, "drain", nullptr);
+    auditor_->Check(network(), t_, "drain", nullptr);
     AfterAuditCheck();
   }
   return audit_violations();
 }
 
-sim::Scenario Engine::RequestLog() const {
-  DRTP_CHECK_MSG(options_.keep_request_log,
-                 "request log was not enabled on this engine");
-  sim::Scenario s;
-  s.traffic.duration = t_ + 1.0;
-  s.events = log_;
-  return s;
-}
-
-std::uint64_t Engine::ConfigDigest() const {
+std::uint64_t ConfigDigest(std::string_view scheme, std::uint64_t seed,
+                           int num_backups, core::SpareMode spare_mode,
+                           const net::Topology& topo) {
   std::uint64_t d = kFnv1aOffset;
-  d = Fnv1aExtend(d, options_.scheme);
-  d = FoldInt(d, static_cast<std::int64_t>(options_.seed));
-  d = FoldInt(d, options_.num_backups);
-  d = FoldInt(d,
-              options_.spare_mode == core::SpareMode::kMultiplexed ? 0 : 1);
-  const net::Topology& topo = net_.topology();
+  d = Fnv1aExtend(d, scheme);
+  d = FoldInt(d, static_cast<std::int64_t>(seed));
+  d = FoldInt(d, num_backups);
+  d = FoldInt(d, spare_mode == core::SpareMode::kMultiplexed ? 0 : 1);
   d = FoldInt(d, topo.num_nodes());
   d = FoldInt(d, topo.num_links());
   for (LinkId l = 0; l < topo.num_links(); ++l) {
@@ -475,7 +408,7 @@ bool Engine::WriteSnapshot(std::string* error) {
   ++stats_.snapshots;
   const std::uint64_t wal_offset = wal_ != nullptr ? wal_->bytes() : 0;
   const std::string body =
-      RenderSnapshotBody(net_, stats_, static_cast<std::int64_t>(t_),
+      RenderSnapshotBody(network(), stats_, static_cast<std::int64_t>(t_),
                          ConfigDigest(), wal_offset, scheme_->name(),
                          scheme_->SaveState());
   if (!WriteSnapshotFile(options_.snapshot_path, body, error)) {
@@ -493,7 +426,8 @@ void Engine::MaybeSnapshot() {
 }
 
 void Engine::RestoreSnapshot(const Snapshot& snap) {
-  DRTP_CHECK_MSG(net_.ActiveCount() == 0 && t_ == 0.0,
+  core::DrtpNetwork& net = applier_.mutable_network();
+  DRTP_CHECK_MSG(net.ActiveCount() == 0 && t_ == 0.0,
                  "RestoreSnapshot on a non-fresh engine");
   if (snap.config_digest != ConfigDigest()) {
     throw ParseError(
@@ -504,24 +438,24 @@ void Engine::RestoreSnapshot(const Snapshot& snap) {
     throw ParseError("snapshot scheme '" + snap.scheme +
                      "' != engine scheme '" + scheme_->name() + "'");
   }
-  const int links = net_.topology().num_links();
+  const int links = net.topology().num_links();
   for (const LinkId l : snap.down_links) {
     if (l < 0 || l >= links) {
       throw ParseError("snapshot down link out of range");
     }
-    net_.SetLinkDown(l);
+    net.SetLinkDown(l);
   }
   // Pass 1: every primary, ascending by id. All primaries must land
   // before any backup registers — RegisterBackup may overbook links, and
   // an interleaved overbooked backup could consume the free bandwidth a
   // later primary needs (EstablishConnection never draws from spare).
   for (const SnapshotConn& c : snap.conns) {
-    const auto primary = routing::Path::FromLinks(net_.topology(), c.primary);
+    const auto primary = routing::Path::FromLinks(net.topology(), c.primary);
     if (!primary.has_value()) {
       throw ParseError("snapshot conn " + std::to_string(c.id) +
                        " primary is not a path in this topology");
     }
-    if (!net_.EstablishConnection(c.id, *primary, c.bw, /*now=*/0.0)) {
+    if (!net.EstablishConnection(c.id, *primary, c.bw, /*now=*/0.0)) {
       throw ParseError("snapshot conn " + std::to_string(c.id) +
                        " does not fit the topology (down link or "
                        "insufficient bandwidth)");
@@ -531,12 +465,12 @@ void Engine::RestoreSnapshot(const Snapshot& snap) {
   // rejects; overbooking is re-derived exactly as it originally was).
   for (const SnapshotConn& c : snap.conns) {
     for (const std::vector<LinkId>& b : c.backups) {
-      const auto backup = routing::Path::FromLinks(net_.topology(), b);
+      const auto backup = routing::Path::FromLinks(net.topology(), b);
       if (!backup.has_value()) {
         throw ParseError("snapshot conn " + std::to_string(c.id) +
                          " backup is not a path in this topology");
       }
-      net_.RegisterBackup(c.id, *backup);
+      net.RegisterBackup(c.id, *backup);
     }
   }
   try {
@@ -544,10 +478,10 @@ void Engine::RestoreSnapshot(const Snapshot& snap) {
   } catch (const ParseError& e) {
     throw ParseError(std::string("snapshot scheme state: ") + e.what());
   }
-  scheme_->OnTopologyChanged(net_);
+  scheme_->OnTopologyChanged(net);
   stats_ = snap.stats;
   t_ = static_cast<Time>(snap.t);
-  const std::uint64_t got = NetworkStateDigest(net_);
+  const std::uint64_t got = NetworkStateDigest(net);
   if (got != snap.state_digest) {
     throw ParseError("restored state digest " + DigestHex(got) +
                      " != snapshot state_digest " +
@@ -555,48 +489,9 @@ void Engine::RestoreSnapshot(const Snapshot& snap) {
   }
 }
 
-namespace {
-
-/// Lifts a WAL event back into the request shape ExecuteBatch consumes.
-/// Replay responses are discarded, so the request id is immaterial.
-DecodedRequest RequestFromEvent(const sim::ScenarioEvent& e) {
-  Request r;
-  r.id = 0;
-  switch (e.type) {
-    case sim::ScenarioEvent::Type::kRequest:
-      r.method = Method::kAdmit;
-      r.conn = e.conn;
-      r.src = e.src;
-      r.dst = e.dst;
-      r.bw = e.bw;
-      break;
-    case sim::ScenarioEvent::Type::kRelease:
-      r.method = Method::kRelease;
-      r.conn = e.conn;
-      break;
-    case sim::ScenarioEvent::Type::kLinkFail:
-      r.method = Method::kFailLink;
-      r.link = e.link;
-      break;
-    case sim::ScenarioEvent::Type::kLinkRepair:
-      r.method = Method::kRepairLink;
-      r.link = e.link;
-      break;
-    default:
-      throw ParseError("wal event kind is not replayable");
-  }
-  DecodedRequest out;
-  out.ok = true;
-  out.request = r;
-  out.id = 0;
-  return out;
-}
-
-}  // namespace
-
 RecoverReport Engine::Recover(const std::string& wal_path,
                               const std::string& snapshot_path) {
-  DRTP_CHECK_MSG(stats_.batches == 0 && net_.ActiveCount() == 0,
+  DRTP_CHECK_MSG(stats_.batches == 0 && network().ActiveCount() == 0,
                  "Recover on a non-fresh engine");
   RecoverReport rep;
   WalRecovery wal;
@@ -634,33 +529,34 @@ RecoverReport Engine::Recover(const std::string& wal_path,
     rep.from_snapshot = true;
     replay_from = snap.wal_offset;
   }
-  // Replay the suffix through the identical batch path. The WAL handle
-  // (if any) is suppressed via replaying_ — these events are already
-  // durable — and so is the snapshot cadence.
+  // Feed the suffix to the applier batch by batch, with the live batch
+  // bookkeeping. The WAL handle (if any) is suppressed via replaying_ —
+  // these events are already durable — and so is the snapshot cadence.
   replaying_ = true;
   try {
     for (const WalBatch& b : wal.batches) {
       if (b.end_offset <= replay_from) continue;
-      std::vector<DecodedRequest> requests;
-      requests.reserve(b.events.size());
+      sim::Scenario batch;
+      batch.events = b.events;
+      batch.Validate(topology());
+      stats_.batch_last = static_cast<std::int64_t>(b.events.size());
+      applier_.Publish(t_);  // the batch's LSDB snapshot, as live
       for (const sim::ScenarioEvent& e : b.events) {
-        requests.push_back(RequestFromEvent(e));
-      }
-      const std::vector<std::string> responses = ExecuteBatch(requests);
-      for (const std::string& r : responses) {
-        if (r.find("\"ok\":true") == std::string::npos) {
-          throw ParseError("wal replay diverged: a logged event failed "
-                           "against the recovered state: " + r);
+        // Every logged event advanced the virtual clock by one tick and
+        // changed the state it was applied to; anything else means the
+        // log does not belong to this state.
+        const bool on_clock = e.time == NextEventTime();
+        Count(stats_.frames, Counters().frames);
+        if (!on_clock || Enact(e).effect == sim::Effect::kNone) {
+          throw ParseError(
+              "wal replay diverged: the event at t=" +
+              std::to_string(static_cast<std::int64_t>(e.time)) + " (conn " +
+              std::to_string(e.conn) + ", link " + std::to_string(e.link) +
+              (on_clock ? ") changes nothing in the recovered state"
+                        : ") is off the virtual clock"));
         }
       }
-      // Every logged event advanced the virtual clock exactly once; a
-      // mismatch means the replayed batch enacted a different set of
-      // state changes than the original run.
-      if (!b.events.empty() &&
-          t_ != b.events.back().time) {
-        throw ParseError("wal replay time divergence at batch ending at "
-                         "offset " + std::to_string(b.end_offset));
-      }
+      CommitBatch();
       ++rep.batches_replayed;
       rep.events_replayed += static_cast<std::int64_t>(b.events.size());
     }

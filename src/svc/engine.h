@@ -1,21 +1,18 @@
 // svc::Engine — the daemon's single-threaded admission core.
 //
-// Owns the authoritative network state (DrtpNetwork), the advertised
-// link-state database, and the routing scheme; executes decoded requests
-// in batches. One LSDB snapshot (DrtpNetwork::PublishTo) is taken per
+// A driver over sim::EventApplier, which owns the network state, the
+// advertised LSDB and the event rules. The engine adds validation,
+// responses, counters, the flight recorder, audits, the WAL and
+// snapshots, and no re-protection retries. One LSDB snapshot is taken per
 // batch, so every admission in the batch routes against the same
-// advertisement — the amortization the admit_batch microbenchmark
-// measures. Failures and repairs re-publish immediately inside the batch
-// (they are rare and correctness-critical; only admit/release publishes
-// are amortized).
+// advertisement (the admit_batch microbenchmark's amortization);
+// failures and repairs re-publish at once.
 //
-// Replay equivalence: admissions run through core::AdmitConnection — the
-// same code sim::RunScenario uses — and the engine can keep a replayable
-// request log (sim::Scenario with virtual times 1.0, 2.0, ...). With
-// batch_max=1 the per-batch snapshot degenerates to publish-per-request,
-// which is exactly the simulator's instant-advertisement mode, so
-// replaying the log through drtpsim reproduces the live ledger/APLV state
-// bit-for-bit (svc_test pins this via NetworkStateDigest).
+// Replay equivalence: the WAL holds every state-changing event at its
+// virtual time (1.0, 2.0, ...); recovery feeds it back into the applier.
+// With batch_max=1 the per-batch snapshot is the simulator's instant
+// advertisement, so `drtpsim run --scenario=<wal>` reproduces the live
+// state bit-for-bit (svc_test pins this via NetworkStateDigest).
 #pragma once
 
 #include <atomic>
@@ -24,14 +21,15 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "drtp/manager.h"
 #include "drtp/network.h"
 #include "drtp/scheme.h"
 #include "fault/auditor.h"
-#include "lsdb/link_state_db.h"
 #include "net/topology.h"
+#include "sim/event_applier.h"
 #include "sim/scenario.h"
 #include "svc/rpc.h"
 
@@ -60,8 +58,6 @@ struct EngineOptions {
   /// drtp.audit/1 JSONL sink for violations; null = keep them in memory
   /// only. Must outlive the engine.
   std::ostream* audit_out = nullptr;
-  /// Record a replayable request log (RequestLog()).
-  bool keep_request_log = false;
   /// Where to write an obs::FlightRecorder dump when the auditor reports
   /// its first violation (post-mortem without --trace). Empty = no dump.
   std::string flight_dump_path;
@@ -71,6 +67,14 @@ struct EngineOptions {
   /// snapshot_interval > 0; also used by the explicit WriteSnapshot().
   std::string snapshot_path;
 };
+
+/// FNV-1a over everything replay equivalence depends on besides the
+/// request stream: scheme label, seed, backup count, spare mode, and the
+/// topology shape (per-link endpoints + capacity). WAL headers and
+/// snapshots bind to this; recovery and WAL replay refuse a mismatch.
+std::uint64_t ConfigDigest(std::string_view scheme, std::uint64_t seed,
+                           int num_backups, core::SpareMode spare_mode,
+                           const net::Topology& topo);
 
 /// Cumulative request accounting (all-time, monotone except batch_last).
 struct EngineStats {
@@ -117,22 +121,24 @@ class Engine {
   /// total violation count observed over the engine's lifetime.
   std::int64_t FinalAudit();
 
-  std::uint64_t StateDigest() const { return NetworkStateDigest(net_); }
+  std::uint64_t StateDigest() const { return NetworkStateDigest(network()); }
 
-  /// FNV-1a over everything replay equivalence depends on besides the
-  /// request stream: scheme label, seed, backup count, spare mode, and
-  /// the topology shape (per-link endpoints + capacity). WAL headers and
-  /// snapshots bind to this; recovery refuses a mismatch.
-  std::uint64_t ConfigDigest() const;
+  std::uint64_t ConfigDigest() const {
+    return svc::ConfigDigest(options_.scheme, options_.seed,
+                             options_.num_backups, options_.spare_mode,
+                             topology());
+  }
 
   /// Crash recovery: truncate-and-verify the WAL, load the snapshot when
   /// present (restoring table/scheme state and verifying its recorded
-  /// NetworkStateDigest), then replay the WAL suffix through the normal
-  /// batch path. Requires a fresh engine (no requests executed). Throws
-  /// drtp::ParseError on any refusal: config mismatch, snapshot digest
-  /// mismatch, snapshot bound past the recovered WAL, or replay
-  /// divergence. Empty `wal_path` skips the WAL (snapshot only);
-  /// `snapshot_path` may name a nonexistent file (WAL-only replay).
+  /// NetworkStateDigest), then feed the WAL suffix's events to the
+  /// applier batch by batch. Requires a fresh engine (no requests
+  /// executed). Throws drtp::ParseError on any refusal: config mismatch,
+  /// snapshot digest mismatch, snapshot bound past the recovered WAL, or
+  /// replay divergence (an event out of range, off the virtual clock, or
+  /// without effect on the recovered state). Empty `wal_path` skips the
+  /// WAL (snapshot only); `snapshot_path` may name a nonexistent file
+  /// (WAL-only replay).
   RecoverReport Recover(const std::string& wal_path,
                         const std::string& snapshot_path);
 
@@ -163,34 +169,27 @@ class Engine {
     shed_ = counter;
   }
 
-  /// The replayable request log (requires keep_request_log). Contains
-  /// only events sim::RunScenario would enact identically: admits
-  /// (including blocked ones), releases of live connections, and enacted
-  /// link failures/repairs — error-answered frames and no-ops are
-  /// excluded.
-  sim::Scenario RequestLog() const;
-
   const EngineStats& stats() const { return stats_; }
   /// Current virtual time (1 tick per state-changing event) — the
   /// timestamp recovery hands the post-recovery audit.
   Time virtual_now() const { return t_; }
-  const net::Topology& topology() const { return net_.topology(); }
-  const core::DrtpNetwork& network() const { return net_; }
+  const net::Topology& topology() const { return network().topology(); }
+  const core::DrtpNetwork& network() const { return applier_.network(); }
   std::int64_t audit_checks() const;
   std::int64_t audit_violations() const;
   /// Active connections currently running without any backup.
   std::int64_t DegradedCount() const;
 
  private:
-  std::string Execute(const Request& req);
   std::string DoAdmit(const Request& req);
   std::string DoRelease(const Request& req);
-  std::string DoFailLink(const Request& req);
-  std::string DoRepairLink(const Request& req);
+  std::string DoLink(const Request& req);  ///< fail-link, repair-link
   std::string DoStats(const Request& req);
-  /// Advances virtual time and appends a log event when logging is on.
-  Time NextEventTime();
-  void LogEvent(sim::ScenarioEvent event);
+  Time NextEventTime() { return t_ += 1.0; }
+  /// Applies one state-changing event with the daemon's bookkeeping.
+  sim::EventOutcome Enact(const sim::ScenarioEvent& e);
+  /// WAL group commit, batch counters, audit and snapshot cadence.
+  void CommitBatch();
   /// Periodic snapshot cadence (every snapshot_interval batches).
   void MaybeSnapshot();
   /// Flight-records an audit sample and, on the first violation, dumps
@@ -198,15 +197,13 @@ class Engine {
   void AfterAuditCheck();
 
   EngineOptions options_;
-  core::DrtpNetwork net_;
-  lsdb::LinkStateDb db_;
   std::unique_ptr<core::RoutingScheme> scheme_;
+  sim::EventApplier applier_;
   std::unique_ptr<fault::Auditor> auditor_;
   EngineStats stats_;
-  /// Virtual clock: 1.0 per state-changing event, so the request log is
-  /// a well-formed scenario (strictly increasing times).
+  /// Virtual clock: 1.0 per state-changing event, so the WAL is a
+  /// well-formed scenario (strictly increasing times).
   Time t_ = 0.0;
-  std::vector<sim::ScenarioEvent> log_;
   /// The current batch's effective events — the WAL group-commit buffer.
   std::vector<sim::ScenarioEvent> batch_events_;
   /// Attached log (AttachWal); null = no durability.

@@ -52,7 +52,7 @@ class Server {
 
   /// Serves until Shutdown(). On return every received frame has been
   /// answered, all connections are closed, and the socket file removed.
-  /// The caller owns post-drain steps (final audit, request-log dump).
+  /// The caller owns post-drain steps (final audit, drain snapshot).
   void Run();
 
   /// Requests Run() to stop and drain. Async-signal-safe; idempotent.

@@ -173,6 +173,7 @@ std::vector<sim::ScenarioEvent> ParseWalBatchPayload(
       e.src = static_cast<NodeId>(field("src"));
       e.dst = static_cast<NodeId>(field("dst"));
       e.bw = field("bw");
+      if (e.bw <= 0) throw ParseError("wal admit with bandwidth <= 0");
     } else if (kind == "release") {
       e.type = sim::ScenarioEvent::Type::kRelease;
       e.conn = field("conn");
@@ -200,8 +201,8 @@ std::string EncodeWalRecord(std::string_view payload) {
   return out;
 }
 
-WalRecovery RecoverWal(const std::string& path,
-                       std::uint64_t config_digest) {
+WalRecovery RecoverWal(const std::string& path, std::uint64_t config_digest,
+                       bool truncate) {
   WalRecovery out;
   std::ifstream in(path, std::ios::binary);
   if (!in) return out;  // no file: empty log, nothing to truncate
@@ -241,13 +242,31 @@ WalRecovery RecoverWal(const std::string& path,
   // so the reopened log appends at a verified boundary.
   out.valid_bytes = offset;
   out.truncated_bytes = data.size() - offset;
-  if (out.truncated_bytes > 0) {
+  if (truncate && out.truncated_bytes > 0) {
     if (::truncate(path.c_str(), static_cast<off_t>(offset)) != 0) {
       throw ParseError("truncating '" + path +
                        "' failed: " + std::strerror(errno));
     }
   }
   return out;
+}
+
+sim::Scenario LoadReplayInput(const std::string& path,
+                              std::uint64_t config_digest,
+                              sim::ExperimentConfig* config) {
+  const WalRecovery wal = RecoverWal(path, config_digest, /*truncate=*/false);
+  if (wal.header_end == 0) {
+    std::ifstream in(path);
+    if (!in.good()) throw ParseError("cannot open '" + path + "'");
+    return sim::Scenario::Load(in);
+  }
+  sim::Scenario s;
+  for (const WalBatch& b : wal.batches) {
+    s.events.insert(s.events.end(), b.events.begin(), b.events.end());
+  }
+  s.traffic.duration = (s.events.empty() ? 0.0 : s.events.back().time) + 1.0;
+  config->reprotect_max_retries = 0;
+  return s;
 }
 
 std::unique_ptr<Wal> Wal::Open(const std::string& path,

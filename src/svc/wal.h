@@ -17,8 +17,9 @@
 // Durability contract: Engine::ExecuteBatch appends exactly one record
 // and fsyncs it (group commit) before the batch's responses are released
 // to clients. A crash therefore loses only unanswered requests, which
-// clients retry; recovery replays the log through the identical batch
-// path and reaches a byte-identical NetworkStateDigest.
+// clients retry; recovery feeds the logged events back into the same
+// event applier and reaches a byte-identical NetworkStateDigest. The WAL
+// is also the daemon's offline replay format (LoadReplayInput).
 //
 // Recovery discipline mirrors runner/checkpoint.h's RecoverCheckpoint:
 // scan forward verifying each record's digest, stop at the first torn or
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "common/socket.h"
+#include "sim/experiment.h"
 #include "sim/scenario.h"
 
 namespace drtp::svc {
@@ -71,11 +73,21 @@ struct WalRecovery {
 
 /// Scans `path`, verifies record digests in order, truncates the file to
 /// the verified prefix (torn/corrupt tail bytes are dropped on disk, not
-/// just skipped), and returns the decoded batches. A missing file — or a
-/// file whose very first record is torn — recovers to an empty log. A
-/// *complete* header whose config digest differs from `config_digest`
-/// throws ParseError: that WAL belongs to a different daemon.
-WalRecovery RecoverWal(const std::string& path, std::uint64_t config_digest);
+/// just skipped; `truncate` = false leaves the file as it is), and
+/// returns the decoded batches. A missing file — or a file whose very
+/// first record is torn — recovers to an empty log. A *complete* header
+/// whose config digest differs from `config_digest` throws ParseError:
+/// that WAL belongs to a different daemon.
+WalRecovery RecoverWal(const std::string& path, std::uint64_t config_digest,
+                       bool truncate = true);
+
+/// Loads `drtpsim run --scenario=FILE`: a drtp.wal/1 log written under
+/// `config_digest` (read, not truncated; horizon one tick past its last
+/// event) or else a scenario file. A WAL sets
+/// config->reprotect_max_retries = 0: the daemon never retries.
+sim::Scenario LoadReplayInput(const std::string& path,
+                              std::uint64_t config_digest,
+                              sim::ExperimentConfig* config);
 
 /// Append handle. Not thread-safe: only the engine thread appends.
 class Wal {

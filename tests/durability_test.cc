@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/digest.h"
@@ -256,6 +257,38 @@ TEST_F(DurabilityTest, WalReplayReachesIdenticalDigest) {
   EXPECT_EQ(recovered.stats().link_fails, live.stats().link_fails);
   EXPECT_EQ(recovered.stats().link_repairs, live.stats().link_repairs);
   EXPECT_EQ(recovered.stats().wal_batches, wal_batches);
+}
+
+TEST_F(DurabilityTest, DivergentWalRefused) {
+  // Well-formed, digest-clean records whose second batch cannot have come
+  // from the state the first one leaves: recovery must refuse them.
+  using Type = sim::ScenarioEvent::Type;
+  const sim::ScenarioEvent admit{
+      .type = Type::kRequest, .time = 1.0, .conn = 1, .src = 0, .dst = 5,
+      .bw = Mbps(1)};
+  const sim::ScenarioEvent fail{.type = Type::kLinkFail, .time = 1.0,
+                                .link = 5};
+  const std::vector<std::pair<sim::ScenarioEvent, sim::ScenarioEvent>> cases =
+      {
+          // Releases a connection that was never admitted.
+          {admit, {.type = Type::kRelease, .time = 2.0, .conn = 99}},
+          // Fails a link that is already down.
+          {fail, {.type = Type::kLinkFail, .time = 2.0, .link = 5}},
+          // Skips a tick of the virtual clock.
+          {admit, {.type = Type::kLinkFail, .time = 3.0, .link = 5}},
+      };
+  for (const auto& [first, second] : cases) {
+    std::remove(wal_path_.c_str());
+    Engine writer(topo_, Options());
+    auto wal = OpenWal(writer);
+    std::string error;
+    ASSERT_TRUE(wal->AppendBatch({&first, 1}, &error)) << error;
+    ASSERT_TRUE(wal->AppendBatch({&second, 1}, &error)) << error;
+    wal.reset();
+
+    Engine recovered(topo_, Options());
+    EXPECT_THROW(recovered.Recover(wal_path_, ""), ParseError);
+  }
 }
 
 TEST_F(DurabilityTest, TornTailChoppedAtEveryByteRecovers) {

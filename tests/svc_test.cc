@@ -2,7 +2,7 @@
 // drtp.rpc/1 decoder, the batched admission engine, pipeline determinism
 // across decode-pool sizes, the unix-socket server end to end, and the
 // replay-equivalence contract that pins a live daemon's final state to an
-// offline sim::RunScenario replay of its request log.
+// offline sim::RunScenario replay of its write-ahead log.
 #include <gtest/gtest.h>
 #include <sys/uio.h>
 
@@ -10,8 +10,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -32,6 +34,7 @@
 #include "svc/pipeline.h"
 #include "svc/rpc.h"
 #include "svc/server.h"
+#include "svc/wal.h"
 #include "svc/wire.h"
 
 namespace drtp {
@@ -611,7 +614,7 @@ TEST_F(EngineTest, StatsFieldOrderIsPinned) {
       "link_fails",   "link_repairs", "batches",        "prime_kbps",
       "spare_kbps",   "overbooked_links", "pbk_hits",   "pbk_trials",
       "pbk",          "digest",     "audit_checks",     "audit_violations",
-      "degraded",     "batch_last", "request_log_events",
+      "degraded",     "batch_last",
       "wal_batches",  "wal_bytes",  "snapshots",          "shed"};
   std::size_t pos = 0;
   for (const char* key : kOrder) {
@@ -765,11 +768,11 @@ TEST(PipelineTest, ResponsesAreByteIdenticalAcrossThreadCounts) {
 
 TEST(PipelineTest, StatsGaugesAndDigestIdenticalAcrossThreadCountsAfterDrain) {
   // The acceptance contract: a drained daemon's stats response —
-  // including every engine gauge (active/degraded/batch_last/request-log
-  // size) and the state digest — must be byte-identical between a
-  // single-decoder and a 4-decoder pipeline, and the obs pipeline
-  // occupancy gauges must read the same (drain zeroes them) so even the
-  // opt-in metrics view of gauges converges.
+  // including every engine gauge (active/degraded/batch_last) and the
+  // state digest — must be byte-identical between a single-decoder and a
+  // 4-decoder pipeline, and the obs pipeline occupancy gauges must read
+  // the same (drain zeroes them) so even the opt-in metrics view of
+  // gauges converges.
   const net::Topology topo = net::MakeWaxman(
       net::WaxmanConfig{.nodes = 30, .avg_degree = 4.0, .seed = 9});
   std::vector<std::string> payloads;
@@ -832,18 +835,26 @@ TEST(PipelineTest, DrainAnswersEverySubmittedFrame) {
 
 // The acceptance demo: drive a live engine (60-node Waxman, batch = 1 so
 // the per-batch snapshot degenerates to the simulator's instant
-// advertisement mode), capture its request log, replay the log through
-// sim::RunScenario — the offline drtpsim path — and require the exact
-// same final network state digest.
+// advertisement mode) with a WAL attached, load the WAL the way
+// `drtpsim run --scenario=<wal>` does, replay it through sim::RunScenario
+// and require the exact same final network state digest. Link failures
+// leave connections running unprotected, so a replay that retried their
+// re-protection (the simulator's default) would diverge.
 TEST(ReplayTest, LiveEngineMatchesOfflineScenarioReplay) {
   const net::Topology topo = net::MakeWaxman(
       net::WaxmanConfig{.nodes = 60, .avg_degree = 4.0, .seed = 11});
+  const std::string wal_path = ::testing::TempDir() + "/svc_replay.wal";
+  std::remove(wal_path.c_str());
 
   EngineOptions eo;
   eo.scheme = "D-LSR";
   eo.num_backups = 1;
-  eo.keep_request_log = true;
   Engine engine(topo, eo);
+  std::string error;
+  std::unique_ptr<svc::Wal> wal =
+      svc::Wal::Open(wal_path, engine.ConfigDigest(), &error);
+  ASSERT_NE(wal, nullptr) << error;
+  engine.AttachWal(wal.get());
 
   sim::TrafficConfig tc;
   tc.lambda = 0.4;
@@ -853,44 +864,66 @@ TEST(ReplayTest, LiveEngineMatchesOfflineScenarioReplay) {
   ASSERT_GT(requests.size(), 50u);
 
   // Interleave admits with releases of roughly half the earlier
-  // connections, plus a couple of link failures and one repair so the
-  // replay exercises switchover state too.
+  // connections, plus link failures and one repair so the replay
+  // exercises switchover state too.
   std::int64_t id = 0;
+  std::int64_t degraded = 0;
+  const auto fail = [&](LinkId link) {
+    const JsonValue r = Get(Run1(engine, LinkPayload(id++, "fail-link", link)),
+                            "result");
+    ASSERT_TRUE(Get(r, "changed").AsBool());
+    degraded += Get(r, "recovered").AsInt64() +
+                Get(r, "backups_lost").AsInt64() -
+                Get(r, "rerouted").AsInt64();
+  };
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const sim::Request& r = requests[i];
     Run1(engine, AdmitPayload(id++, r.id, r.src, r.dst, r.bw));
     if (i % 2 == 1 && i >= 2) {
       Run1(engine, ReleasePayload(id++, requests[i - 2].id));
     }
-    if (i == 20) Run1(engine, LinkPayload(id++, "fail-link", 3));
-    if (i == 40) Run1(engine, LinkPayload(id++, "fail-link", 17));
+    if (i == 20) fail(3);
+    if (i == 40) {
+      // A one-hop connection over link 0 whose source then loses every
+      // other way out: its backup breaks and step 4 finds no new one.
+      const net::Link& link = topo.link(0);
+      Run1(engine, AdmitPayload(id++, 1 << 20, link.src, link.dst, Mbps(1)));
+      for (const LinkId l : topo.out_links(link.src)) {
+        if (l != 0 && engine.network().IsLinkUp(l)) fail(l);
+      }
+    }
     if (i == 60) Run1(engine, LinkPayload(id++, "repair-link", 3));
   }
   ASSERT_GT(engine.stats().admitted, 0);
   ASSERT_GT(engine.network().ActiveCount(), 0);
+  ASSERT_GT(degraded, 0) << "no failure left a connection unprotected";
+  wal.reset();
   const std::uint64_t live_digest = engine.StateDigest();
 
-  // Round-trip the log through the scenario file format — the same bytes
-  // `drtpd --request-log` writes and `drtpsim run --scenario` loads.
-  std::stringstream file;
-  engine.RequestLog().Save(file);
-  const sim::Scenario log = sim::Scenario::Load(file);
-  ASSERT_EQ(log.events.size(), static_cast<std::size_t>(id));
-
+  const auto replay = [&](const sim::ExperimentConfig& cfg,
+                          const sim::Scenario& log) {
+    std::uint64_t digest = 0;
+    sim::ExperimentConfig c = cfg;
+    c.inspect_final = [&](const core::DrtpNetwork& net) {
+      digest = svc::NetworkStateDigest(net);
+    };
+    const auto scheme = sim::MakeScheme("D-LSR", topo, 1);
+    sim::RunScenario(topo, log, *scheme, c);
+    return digest;
+  };
   sim::ExperimentConfig cfg;
   cfg.warmup = 0.0;
   cfg.num_backups = 1;
-  cfg.reprotect_max_retries = 0;  // the daemon schedules no retries
-  std::uint64_t replay_digest = 0;
-  cfg.inspect_final = [&](const core::DrtpNetwork& net) {
-    replay_digest = svc::NetworkStateDigest(net);
-  };
-  const auto scheme = sim::MakeScheme("D-LSR", topo, 1);
-  sim::RunScenario(topo, log, *scheme, cfg);
-
-  EXPECT_EQ(replay_digest, live_digest)
+  const sim::ExperimentConfig with_retries = cfg;
+  const sim::Scenario log =
+      svc::LoadReplayInput(wal_path, engine.ConfigDigest(), &cfg);
+  ASSERT_EQ(log.events.size(), static_cast<std::size_t>(id));
+  EXPECT_EQ(cfg.reprotect_max_retries, 0) << "the daemon never retries";
+  EXPECT_EQ(replay(cfg, log), live_digest)
       << "offline replay must reproduce the live daemon's table, ledger, "
          "and APLV state bit-for-bit";
+  EXPECT_NE(replay(with_retries, log), live_digest)
+      << "re-protection retries must show in this stream";
 }
 
 // ---- server end to end ------------------------------------------------

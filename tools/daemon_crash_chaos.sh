@@ -14,9 +14,14 @@
 # The client rides the gaps with reconnect + resend (dup-ack semantics
 # turn a replayed admit into conn_exists -> admitted, never a duplicate).
 #
+# Phase 3 (offline replay): the reference WAL is also the daemon's replay
+# format; `drtpsim run --scenario=ref.wal` must admit and block exactly
+# what the reference daemon did.
+#
 # Pass criteria: chaos digest == reference digest (byte-identical state),
 # chaos server-side admitted == reference (zero duplicate admissions),
-# zero client errors/aborts, clean audits, graceful drains.
+# replay admitted/blocked == reference daemon's, zero client
+# errors/aborts, clean audits, graceful drains.
 #
 # Used both as a ctest (tools/CMakeLists.txt) and by the CI
 # daemon-crash-chaos job.
@@ -87,6 +92,8 @@ start_daemon "$WORK/ref.wal" "" "$WORK/ref.d.err"
 # shellcheck disable=SC2086
 "$DRTPLOAD" --socket="$SOCK" $LOAD_ARGS --out="$WORK/ref.json"
 stop_daemon "$WORK/ref.d.err"
+"$DRTPSIM" run --topo="$TOPO" --scenario="$WORK/ref.wal" --scheme=D-LSR \
+  --warmup_frac=0 --format=json > "$WORK/ref.replay.json"
 
 echo "daemon_crash_chaos: chaos run" >&2
 start_daemon "$WORK/chaos.wal" "" "$WORK/chaos.d0.err"
@@ -126,13 +133,19 @@ while [ "$k" -le "$KILLS" ]; do
   k=$((k + 1))
 done
 
-python3 - "$WORK/ref.json" "$WORK/chaos.json" "$KILLS" <<'EOF'
+python3 - "$WORK/ref.json" "$WORK/chaos.json" "$KILLS" \
+  "$WORK/ref.replay.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     ref = json.load(f)
 with open(sys.argv[2]) as f:
     chaos = json.load(f)
 kills = int(sys.argv[3])
+with open(sys.argv[4]) as f:
+    replay = json.load(f)["metrics"]
+for key in ("admitted", "blocked"):
+    assert replay[key] == ref["daemon"][key], (
+        f"wal replay {key} {replay[key]} != daemon {ref['daemon'][key]}")
 assert kills >= 1, "load finished before any SIGKILL fired — lengthen it"
 for name, r in (("ref", ref), ("chaos", chaos)):
     assert r["schema"] == "drtp.bench.drtpd/1", r["schema"]

@@ -92,9 +92,6 @@ int main(int argc, char** argv) {
       0, 1000000);
   auto& audit_out = flags.String(
       "audit-out", "", "drtp.audit/1 JSONL file (default: stderr)");
-  auto& request_log = flags.String(
-      "request-log", "",
-      "write the replayable request log (scenario file) here on drain");
   auto& flight_dump = flags.String(
       "flight-dump", "",
       "write flight-recorder dumps (drtp.trace/1 JSONL) here on SIGUSR1, "
@@ -160,7 +157,6 @@ int main(int argc, char** argv) {
         eo.audit_out = &std::cerr;
       }
     }
-    eo.keep_request_log = !request_log.empty();
     eo.flight_dump_path = flight_dump;
     eo.snapshot_interval = static_cast<int>(snapshot_interval);
     eo.snapshot_path = snap_path;
@@ -252,11 +248,6 @@ int main(int argc, char** argv) {
       if (!engine.WriteSnapshot(&snap_error)) {
         DRTP_LOG_WARN << "drain snapshot failed: " << snap_error;
       }
-    }
-    if (!request_log.empty()) {
-      std::ofstream os(request_log, std::ios::trunc);
-      if (!os.good()) return Fail("cannot write '" + request_log + "'");
-      engine.RequestLog().Save(os);
     }
     const svc::EngineStats& s = engine.stats();
     std::fprintf(stderr,

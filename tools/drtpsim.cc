@@ -9,7 +9,7 @@
 //
 // Files written by `topo` and `scenario` are the library's own text
 // formats (net::WriteTopology / sim::Scenario::Save) and round-trip with
-// `run --topo/--scenario`.
+// `run --topo/--scenario`, which also takes a drtpd WAL (docs/DRTPD.md).
 //
 // Examples:
 //   drtpsim topo --kind=waxman --nodes=60 --degree=3 --out=net.topo
@@ -38,6 +38,8 @@
 #include "runner/sink.h"
 #include "sim/experiment.h"
 #include "sim/paper.h"
+#include "svc/engine.h"
+#include "svc/wal.h"
 
 using namespace drtp;
 
@@ -205,7 +207,7 @@ int CmdRun(int argc, char** argv) {
   FlagSet flags("drtpsim run");
   auto& topo_path = flags.String("topo", "", "topology file (required)");
   auto& scenario_path =
-      flags.String("scenario", "", "scenario file (required)");
+      flags.String("scenario", "", "scenario file or drtpd WAL (required)");
   auto& scheme_name =
       flags.String("scheme", "D-LSR",
                    "D-LSR|P-LSR|BF|NoBackup|RandomBackup|SD-Backup|"
@@ -254,16 +256,18 @@ int CmdRun(int argc, char** argv) {
   if (topo_path.empty()) return Fail("--topo is required");
   if (scenario_path.empty()) return Fail("--scenario is required");
   const net::Topology topo = LoadTopology(topo_path);
-  std::ifstream sin(scenario_path);
-  if (!sin.good()) return Fail("cannot open '" + scenario_path + "'");
-  const sim::Scenario sc = sim::Scenario::Load(sin);
-
   sim::ExperimentConfig ec;
-  ec.warmup = sc.traffic.duration * warmup_frac;
-  ec.sample_interval = sc.traffic.duration / 50.0;
   ec.num_backups = static_cast<int>(num_backups);
   ec.spare_mode = dedicated ? core::SpareMode::kDedicated
                             : core::SpareMode::kMultiplexed;
+  // A daemon WAL replays only under the configuration it was written in.
+  const sim::Scenario sc = svc::LoadReplayInput(
+      scenario_path,
+      svc::ConfigDigest(scheme_name, static_cast<std::uint64_t>(seed),
+                        ec.num_backups, ec.spare_mode, topo),
+      &ec);
+  ec.warmup = sc.traffic.duration * warmup_frac;
+  ec.sample_interval = sc.traffic.duration / 50.0;
   ec.lsdb_refresh_interval = refresh;
   std::ofstream trace_file;
   std::unique_ptr<sim::TextTraceSink> trace;

@@ -2,13 +2,13 @@
 //
 // Polls a running daemon's `stats` RPC (with the opt-in `metrics` flag)
 // and renders a top-like view: engine gauges (active/degraded
-// connections, batch depth, reorder-buffer occupancy, request-log size,
-// state digest) plus a per-pipeline-stage latency table with
-// count/mean/p50/p95/p99, computed through the same log-bucket
-// interpolation (`obs::InterpolateQuantile`) the daemon's histograms are
-// stored in. Between polls the bucket arrays are differenced, so the
-// stage table describes the *last interval*, not the whole uptime —
-// `--once` prints a single cumulative snapshot instead.
+// connections, batch depth, reorder-buffer occupancy, state digest) plus
+// a per-pipeline-stage latency table with count/mean/p50/p95/p99,
+// computed through the same log-bucket interpolation
+// (`obs::InterpolateQuantile`) the daemon's histograms are stored in.
+// Between polls the bucket arrays are differenced, so the stage table
+// describes the *last interval*, not the whole uptime — `--once` prints
+// a single cumulative snapshot instead.
 //
 // Usage:
 //   drtpstat --socket=/tmp/drtpd.sock                # live, 1 s interval
@@ -178,13 +178,10 @@ void RenderSnapshot(const JsonValue& result,
       static_cast<long long>(Field(result, "blocked").AsInt64()),
       static_cast<long long>(Field(result, "released").AsInt64()),
       static_cast<long long>(Field(result, "errors").AsInt64()));
-  std::printf(
-      "pipeline: %lld batches (last %lld), reorder depth %.0f, "
-      "request log %lld events\n",
-      static_cast<long long>(Field(result, "batches").AsInt64()),
-      static_cast<long long>(Field(result, "batch_last").AsInt64()),
-      gauge_reorder,
-      static_cast<long long>(Field(result, "request_log_events").AsInt64()));
+  std::printf("pipeline: %lld batches (last %lld), reorder depth %.0f\n",
+              static_cast<long long>(Field(result, "batches").AsInt64()),
+              static_cast<long long>(Field(result, "batch_last").AsInt64()),
+              gauge_reorder);
   std::printf(
       "network: %lld nodes, %lld links | pbk %.3f | audit %lld/%lld | "
       "digest %s\n",
