@@ -1,8 +1,9 @@
 // Structured trace pipeline: one flat TraceEvent record per connection /
 // link lifecycle event, fanned to pluggable sinks.
 //
-// This generalizes the typed sim::TraceSink callbacks into a single
-// schema-versioned record so exporters live below the simulator:
+// TraceEvent is the simulator's only trace record: sim::RunScenario fills
+// one per event and writes it to ExperimentConfig::trace. Three sinks
+// render it:
 //   - JsonlTraceSink   — schema drtp.trace/1, one JSON object per line.
 //     Deterministic: a fixed-seed single-threaded replay produces
 //     byte-identical files; a sweep's lines are deterministic per cell
@@ -10,9 +11,10 @@
 //   - ChromeTraceSink  — Chrome trace-event JSON (load in chrome://tracing
 //     or Perfetto): one "X" span per connection lifetime, instant events
 //     for blocks/failures/failovers.
-// Both sinks lock per record, so concurrent sweep cells never corrupt a
-// line. sim::TextTraceSink remains the human one-line-per-event view and
-// adapts onto the same stream of typed callbacks (sim/trace.h).
+//   - sim::TextTraceSink (sim/trace.h) — the human ns-style
+//     one-line-per-event view.
+// All three lock per record, so concurrent sweep cells never corrupt a
+// line.
 #pragma once
 
 #include <cstdint>

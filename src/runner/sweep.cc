@@ -2,13 +2,14 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <sstream>
 
 #include "common/check.h"
 #include "fault/auditor.h"
 #include "fault/plan.h"
 #include "obs/metrics.h"
-#include "sim/obs_bridge.h"
+#include "obs/trace.h"
 
 namespace drtp::runner {
 
@@ -19,6 +20,24 @@ double MonotonicSeconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Stamps one cell's index on its trace records and forwards them to the
+/// sweep's shared sink.
+class CellTraceSink : public obs::TraceSink {
+ public:
+  CellTraceSink(obs::TraceSink& sink, std::int64_t cell)
+      : sink_(sink), cell_(cell) {}
+
+  void Write(const obs::TraceEvent& event) override {
+    obs::TraceEvent stamped = event;
+    stamped.cell = cell_;
+    sink_.Write(stamped);
+  }
+
+ private:
+  obs::TraceSink& sink_;
+  std::int64_t cell_;
+};
 
 }  // namespace
 
@@ -166,11 +185,10 @@ CellResult SweepEngine::RunCell(const Cell& cell, obs::TraceSink* trace) {
       ScenarioFor(cell.base_seed, cell.degree, cell.pattern, cell.lambda);
   auto scheme = sim::MakeScheme(cell.scheme, topo, cell.cell_seed);
   sim::ExperimentConfig ec = Experiment();
-  std::unique_ptr<sim::ObsBridge> bridge;
+  std::optional<CellTraceSink> cell_trace;
   if (trace != nullptr) {
-    bridge = std::make_unique<sim::ObsBridge>(
-        *trace, cell.scheme, static_cast<std::int64_t>(cell.index));
-    ec.trace = bridge.get();
+    ec.trace = &cell_trace.emplace(*trace,
+                                   static_cast<std::int64_t>(cell.index));
   }
   std::unique_ptr<fault::Auditor> auditor;
   std::ostringstream audit_os;

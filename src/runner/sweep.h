@@ -123,9 +123,9 @@ class SweepEngine {
     /// Receivers for each completed cell; not owned. Sinks must be
     /// thread-safe; Finish() is called once on each after the sweep.
     std::vector<ResultSink*> sinks;
-    /// Receives every cell's lifecycle trace records (stamped with the
-    /// cell index and scheme); not owned, must be thread-safe. Finish()
-    /// is called once after the sweep. Null = tracing off.
+    /// Receives every cell's obs::TraceEvent records, stamped with the
+    /// cell index and the scheme's name; not owned, must be thread-safe.
+    /// Finish() is called once after the sweep. Null = tracing off.
     obs::TraceSink* trace = nullptr;
     /// When set, run only these cells (by Cell::index) — the
     /// resume/shard path: a resumed sweep passes the cells its journal
@@ -150,8 +150,8 @@ class SweepEngine {
                                    sim::TrafficPattern pattern, double lambda);
 
   /// Runs one cell synchronously (the unit of work Run() parallelises).
-  /// When `trace` is set, the cell's lifecycle events are written to it
-  /// through a sim::ObsBridge stamped with the cell index and scheme.
+  /// When `trace` is set, the cell's trace records are written to it
+  /// with Cell::index stamped as their `cell`.
   CellResult RunCell(const Cell& cell, obs::TraceSink* trace = nullptr);
 
  private:

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "drtp/failure.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/event_applier.h"
 
 namespace drtp::sim {
@@ -50,6 +51,13 @@ constexpr std::string_view kEventLabels[] = {
     "request",   "release",     "link_fail", "link_repair",
     "node_fail", "node_repair", "srlg_fail", "srlg_repair"};
 
+/// Trace record kinds, one per ScenarioEvent::Type in enum order.
+constexpr obs::TraceEventKind kTraceKinds[] = {
+    obs::TraceEventKind::kRequest,    obs::TraceEventKind::kRelease,
+    obs::TraceEventKind::kLinkFail,   obs::TraceEventKind::kLinkRepair,
+    obs::TraceEventKind::kNodeFail,   obs::TraceEventKind::kNodeRepair,
+    obs::TraceEventKind::kSrlgFail,   obs::TraceEventKind::kSrlgRepair};
+
 }  // namespace
 
 RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
@@ -75,7 +83,7 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
           .reprotect_backoff = config.reprotect_backoff,
           .reprotect_seed = config.reprotect_seed ^ scenario.traffic.seed});
   const core::DrtpNetwork& net = applier.network();
-  TraceSink* const trace = config.trace;
+  obs::TraceSink* const trace = config.trace;
 
   RunMetrics m;
   m.scheme = scheme.name();
@@ -110,15 +118,51 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     if (config.check_consistency) net.CheckConsistency();
   };
 
-  // Scratch for the per-link APLV annotations attached to admit /
-  // reestablish trace records; only filled when tracing is on.
+  // Trace records, built only when tracing is on. Each starts stamped
+  // with its time, kind, the scheme's name and the connection, if any.
+  using Kind = obs::TraceEventKind;
+  const auto record = [&](Time t, Kind kind, ConnId conn = kInvalidConn) {
+    obs::TraceEvent ev;
+    ev.t = t;
+    ev.kind = kind;
+    ev.scheme = m.scheme;
+    ev.conn = conn;
+    return ev;
+  };
+  // Attaches a backup route and its post-event per-link APLV maxima; the
+  // spans stay valid until the next call.
   std::vector<std::pair<LinkId, std::int32_t>> aplv_scratch;
-  const auto backup_aplv = [&](const routing::Path& b) -> BackupAplv {
+  const auto set_backup = [&](obs::TraceEvent& ev, const routing::Path& b) {
     aplv_scratch.clear();
     for (const LinkId l : b.links()) {
       aplv_scratch.emplace_back(l, net.aplv(l).Max());
     }
-    return aplv_scratch;
+    ev.backup = b.nodes();
+    ev.aplv = aplv_scratch;
+  };
+  const auto trace_reestablish = [&](Time t, ConnId id,
+                                     const routing::Path& backup) {
+    obs::TraceEvent ev = record(t, Kind::kReestablish, id);
+    set_backup(ev, backup);
+    trace->Write(ev);
+  };
+  // A failure or repair record, naming its link, node or SRLG.
+  const auto fault_record = [&](const ScenarioEvent& e) {
+    obs::TraceEvent ev =
+        record(e.time, kTraceKinds[static_cast<std::size_t>(e.type)]);
+    switch (e.type) {
+      case ScenarioEvent::Type::kLinkFail:
+      case ScenarioEvent::Type::kLinkRepair:
+        ev.link = e.link;
+        break;
+      case ScenarioEvent::Type::kNodeFail:
+      case ScenarioEvent::Type::kNodeRepair:
+        ev.node = e.node;
+        break;
+      default:  // SRLG failures and repairs
+        ev.srlg = e.srlg;
+    }
+    return ev;
   };
 
   // inspect_final fires once the clock passes the horizon, i.e. on the
@@ -141,8 +185,7 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
       ++m.reprotect_recovered;
       Counters().reprotects.Add();
       if (trace != nullptr) {
-        const routing::Path& backup = *net.Find(r.conn)->first_backup();
-        trace->OnReestablish(r.at, r.conn, backup, backup_aplv(backup));
+        trace_reestablish(r.at, r.conn, *net.Find(r.conn)->first_backup());
       }
     } else if (r.exhausted) {
       ++m.reprotect_exhausted;
@@ -176,7 +219,12 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     if (!out.admitted) {
       ++m.blocked;
       Counters().blocks.Add();
-      if (trace != nullptr) trace->OnBlock(e.time, e.conn, e.src, e.dst);
+      if (trace != nullptr) {
+        obs::TraceEvent ev = record(e.time, Kind::kBlock, e.conn);
+        ev.src = e.src;
+        ev.dst = e.dst;
+        trace->Write(ev);
+      }
       return;
     }
     ++m.admitted;
@@ -191,9 +239,15 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     Counters().admits.Add();
     if (trace != nullptr) {
       const core::DrConnection* conn = net.Find(e.conn);
-      const routing::Path* backup = conn->first_backup();
-      trace->OnAdmit(e.time, e.conn, conn->primary, backup, e.bw,
-                     backup != nullptr ? backup_aplv(*backup) : BackupAplv{});
+      obs::TraceEvent ev = record(e.time, Kind::kAdmit, e.conn);
+      ev.bw = e.bw;
+      ev.primary = conn->primary.nodes();
+      ev.src = ev.primary.front();
+      ev.dst = ev.primary.back();
+      if (const routing::Path* backup = conn->first_backup()) {
+        set_backup(ev, *backup);
+      }
+      trace->Write(ev);
     }
   };
 
@@ -209,13 +263,11 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     const auto degraded = static_cast<std::int64_t>(out.degraded.size());
     ++m.failures_enacted;
     if (trace != nullptr) {
-      if (e.type == ScenarioEvent::Type::kLinkFail) {
-        trace->OnLinkFail(e.time, e.link, recovered, dropped, lost);
-      } else if (e.type == ScenarioEvent::Type::kNodeFail) {
-        trace->OnNodeFail(e.time, e.node, recovered, dropped, lost);
-      } else {
-        trace->OnSrlgFail(e.time, e.srlg, recovered, dropped, lost);
-      }
+      obs::TraceEvent ev = fault_record(e);
+      ev.recovered = recovered;
+      ev.dropped = dropped;
+      ev.broken = lost;
+      trace->Write(ev);
     }
     m.failover_recovered += recovered;
     m.failover_dropped += dropped;
@@ -231,22 +283,28 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
     if (trace == nullptr) return;
     for (const ConnId id : report.recovered) {
       const core::DrConnection* conn = net.Find(id);
-      if (conn != nullptr) trace->OnFailover(e.time, id, conn->primary);
+      if (conn == nullptr) continue;
+      // The promoted backup is the connection's new primary.
+      obs::TraceEvent ev = record(e.time, Kind::kFailover, id);
+      ev.primary = conn->primary.nodes();
+      trace->Write(ev);
     }
-    for (const ConnId id : report.dropped) trace->OnDrop(e.time, id);
+    for (const ConnId id : report.dropped) {
+      trace->Write(record(e.time, Kind::kDrop, id));
+    }
     for (const ConnId id : report.backups_lost) {
-      trace->OnBackupBreak(e.time, id);
+      trace->Write(record(e.time, Kind::kBackupBreak, id));
     }
     for (const ConnId id : report.rerouted) {
       const core::DrConnection* conn = net.Find(id);
       const routing::Path* backup =
           conn != nullptr ? conn->first_backup() : nullptr;
-      if (backup != nullptr) {
-        trace->OnReestablish(e.time, id, *backup, backup_aplv(*backup));
-      }
+      if (backup != nullptr) trace_reestablish(e.time, id, *backup);
     }
     for (const ConnId id : out.degraded) {
-      trace->OnDegrade(e.time, id, config.reprotect_max_retries);
+      obs::TraceEvent ev = record(e.time, Kind::kDegrade, id);
+      ev.retries_left = config.reprotect_max_retries;
+      trace->Write(ev);
     }
   };
 
@@ -263,7 +321,11 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
 
     const bool request = e.type == ScenarioEvent::Type::kRequest;
     if (request && trace != nullptr) {
-      trace->OnRequest(e.time, e.conn, e.src, e.dst, e.bw);
+      obs::TraceEvent ev = record(e.time, Kind::kRequest, e.conn);
+      ev.src = e.src;
+      ev.dst = e.dst;
+      ev.bw = e.bw;
+      trace->Write(ev);
     }
     const EventOutcome out = applier.Apply(e);
     if (request || out.changed()) {
@@ -276,16 +338,14 @@ RunMetrics RunScenario(const net::Topology& topo, const Scenario& scenario,
       switch (e.type) {
         case ScenarioEvent::Type::kRelease:
           note_active(e.time);
-          if (trace != nullptr) trace->OnRelease(e.time, e.conn);
+          if (trace != nullptr) {
+            trace->Write(record(e.time, Kind::kRelease, e.conn));
+          }
           break;
         case ScenarioEvent::Type::kLinkRepair:
-          if (trace != nullptr) trace->OnLinkRepair(e.time, e.link);
-          break;
         case ScenarioEvent::Type::kNodeRepair:
-          if (trace != nullptr) trace->OnNodeRepair(e.time, e.node);
-          break;
         case ScenarioEvent::Type::kSrlgRepair:
-          if (trace != nullptr) trace->OnSrlgRepair(e.time, e.srlg);
+          if (trace != nullptr) trace->Write(fault_record(e));
           break;
         default:  // link, node and SRLG failures
           failure = true;

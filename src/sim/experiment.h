@@ -2,6 +2,8 @@
 // fresh copy of the network and collects RunMetrics.
 // sim::EventApplier applies the events, as for the daemon; this driver
 // adds metrics, traces, counters, P_bk samples and advertisement cadence.
+// Traces are obs::TraceEvent records, one per event, stamped with the
+// scheme's name() and written to ExperimentConfig::trace.
 //
 // The driver owns the measurement protocol of §6: a warm-up period (the
 // network fills toward steady state — lifetimes are 20–60 min, so warm-up
@@ -18,9 +20,9 @@
 #include "drtp/network.h"
 #include "drtp/scheme.h"
 #include "net/topology.h"
+#include "obs/trace.h"
 #include "sim/metrics.h"
 #include "sim/scenario.h"
-#include "sim/trace.h"
 
 namespace drtp::sim {
 
@@ -63,9 +65,10 @@ struct ExperimentConfig {
   /// window (before trailing releases drain it) — audits, custom metrics.
   /// Null = disabled.
   std::function<void(const core::DrtpNetwork&)> inspect_final;
-  /// Receives every replay event (admissions, blocks, releases, failures);
-  /// not owned. Null = tracing off.
-  TraceSink* trace = nullptr;
+  /// Receives one record per replay event (requests, admissions, blocks,
+  /// releases, failures and their per-connection consequences, repairs);
+  /// not owned. Finish() is left to the caller. Null = tracing off.
+  obs::TraceSink* trace = nullptr;
 };
 
 /// Replays `scenario` on a fresh DrtpNetwork over `topo` using `scheme`.

@@ -1,114 +1,102 @@
 #include "sim/trace.h"
 
-#include <ostream>
+#include <span>
+
+#include "common/check.h"
 
 namespace drtp::sim {
 namespace {
 
-void WriteNodes(std::ostream& os, const routing::Path& path) {
-  const auto& nodes = path.nodes();
+void WriteNodes(std::ostream& os, std::span<const NodeId> nodes) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (i > 0) os << '-';
     os << nodes[i];
   }
 }
 
+void WriteImpact(std::ostream& os, const obs::TraceEvent& e) {
+  os << " recovered " << e.recovered << " dropped " << e.dropped
+     << " broken " << e.broken;
+}
+
 }  // namespace
 
-void TextTraceSink::OnAdmit(Time t, ConnId conn,
-                            const routing::Path& primary,
-                            const routing::Path* backup, Bandwidth bw,
-                            BackupAplv backup_aplv) {
-  (void)bw;
-  (void)backup_aplv;
-  os_ << t << " + conn " << conn << " primary ";
-  WriteNodes(os_, primary);
-  if (backup != nullptr) {
-    os_ << " backup ";
-    WriteNodes(os_, *backup);
+TextTraceSink::TextTraceSink(const std::string& path)
+    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)) {
+  DRTP_CHECK_MSG(owned_->good(), "cannot write trace to '" << path << "'");
+  os_ = owned_.get();
+}
+
+void TextTraceSink::Write(const obs::TraceEvent& e) {
+  using Kind = obs::TraceEventKind;
+  if (e.kind == Kind::kRequest) return;
+  std::lock_guard<std::mutex> lk(mu_);
+  std::ostream& os = *os_;
+  os << e.t;
+  switch (e.kind) {
+    case Kind::kRequest:  // not rendered, returned above
+      break;
+    case Kind::kAdmit:
+      os << " + conn " << e.conn << " primary ";
+      WriteNodes(os, e.primary);
+      if (!e.backup.empty()) {
+        os << " backup ";
+        WriteNodes(os, e.backup);
+      }
+      break;
+    case Kind::kBlock:
+      os << " x conn " << e.conn << " (" << e.src << " -> " << e.dst << ")";
+      break;
+    case Kind::kRelease:
+      os << " - conn " << e.conn;
+      break;
+    case Kind::kLinkFail:
+      os << " ! link " << e.link;
+      WriteImpact(os, e);
+      break;
+    case Kind::kLinkRepair:
+      os << " ~ link " << e.link << " repaired";
+      break;
+    case Kind::kFailover:
+      os << " > conn " << e.conn << " promoted ";
+      WriteNodes(os, e.primary);
+      break;
+    case Kind::kDrop:
+      os << " # conn " << e.conn << " dropped";
+      break;
+    case Kind::kBackupBreak:
+      os << " b conn " << e.conn << " backup broken";
+      break;
+    case Kind::kReestablish:
+      os << " = conn " << e.conn << " backup ";
+      WriteNodes(os, e.backup);
+      break;
+    case Kind::kNodeFail:
+      os << " N node " << e.node;
+      WriteImpact(os, e);
+      break;
+    case Kind::kNodeRepair:
+      os << " n node " << e.node << " repaired";
+      break;
+    case Kind::kSrlgFail:
+      os << " S srlg " << e.srlg;
+      WriteImpact(os, e);
+      break;
+    case Kind::kSrlgRepair:
+      os << " s srlg " << e.srlg << " repaired";
+      break;
+    case Kind::kDegrade:
+      os << " d conn " << e.conn << " degraded retries-left "
+         << e.retries_left;
+      break;
   }
-  os_ << '\n';
+  os << '\n';
   ++lines_;
 }
 
-void TextTraceSink::OnBlock(Time t, ConnId conn, NodeId src, NodeId dst) {
-  os_ << t << " x conn " << conn << " (" << src << " -> " << dst << ")\n";
-  ++lines_;
-}
-
-void TextTraceSink::OnRelease(Time t, ConnId conn) {
-  os_ << t << " - conn " << conn << '\n';
-  ++lines_;
-}
-
-void TextTraceSink::OnLinkFail(Time t, LinkId link, int recovered,
-                               int dropped, int backups_broken) {
-  os_ << t << " ! link " << link << " recovered " << recovered << " dropped "
-      << dropped << " broken " << backups_broken << '\n';
-  ++lines_;
-}
-
-void TextTraceSink::OnLinkRepair(Time t, LinkId link) {
-  os_ << t << " ~ link " << link << " repaired\n";
-  ++lines_;
-}
-
-void TextTraceSink::OnFailover(Time t, ConnId conn,
-                               const routing::Path& promoted) {
-  os_ << t << " > conn " << conn << " promoted ";
-  WriteNodes(os_, promoted);
-  os_ << '\n';
-  ++lines_;
-}
-
-void TextTraceSink::OnDrop(Time t, ConnId conn) {
-  os_ << t << " # conn " << conn << " dropped\n";
-  ++lines_;
-}
-
-void TextTraceSink::OnBackupBreak(Time t, ConnId conn) {
-  os_ << t << " b conn " << conn << " backup broken\n";
-  ++lines_;
-}
-
-void TextTraceSink::OnReestablish(Time t, ConnId conn,
-                                  const routing::Path& backup,
-                                  BackupAplv backup_aplv) {
-  (void)backup_aplv;
-  os_ << t << " = conn " << conn << " backup ";
-  WriteNodes(os_, backup);
-  os_ << '\n';
-  ++lines_;
-}
-
-void TextTraceSink::OnNodeFail(Time t, NodeId node, int recovered,
-                               int dropped, int backups_broken) {
-  os_ << t << " N node " << node << " recovered " << recovered << " dropped "
-      << dropped << " broken " << backups_broken << '\n';
-  ++lines_;
-}
-
-void TextTraceSink::OnNodeRepair(Time t, NodeId node) {
-  os_ << t << " n node " << node << " repaired\n";
-  ++lines_;
-}
-
-void TextTraceSink::OnSrlgFail(Time t, SrlgId srlg, int recovered,
-                               int dropped, int backups_broken) {
-  os_ << t << " S srlg " << srlg << " recovered " << recovered << " dropped "
-      << dropped << " broken " << backups_broken << '\n';
-  ++lines_;
-}
-
-void TextTraceSink::OnSrlgRepair(Time t, SrlgId srlg) {
-  os_ << t << " s srlg " << srlg << " repaired\n";
-  ++lines_;
-}
-
-void TextTraceSink::OnDegrade(Time t, ConnId conn, int retries_left) {
-  os_ << t << " d conn " << conn << " degraded retries-left " << retries_left
-      << '\n';
-  ++lines_;
+void TextTraceSink::Finish() {
+  std::lock_guard<std::mutex> lk(mu_);
+  os_->flush();
 }
 
 }  // namespace drtp::sim

@@ -1,83 +1,24 @@
 // Replay tracing (ns-style event logs).
 //
 // The paper's toolchain simulated with ns, whose trace files are the
-// primary debugging artifact; this is the equivalent for our replays: a
-// TraceSink receives every simulation event, and the bundled text sink
-// renders one line per event. Wire a sink into ExperimentConfig::trace to
-// see exactly why a replay admitted, blocked, or dropped what it did.
-//
-// Structured export lives one layer down: sim::ObsBridge (obs_bridge.h)
-// adapts these typed callbacks onto obs::TraceSink records
-// (drtp.trace/1 JSONL, Chrome trace events).
+// primary debugging artifact; this is the equivalent for our replays.
+// RunScenario writes one obs::TraceEvent per simulation event into
+// ExperimentConfig::trace, and TextTraceSink renders those records one
+// line per event — the human view next to the JSONL and Chrome exporters
+// of obs/trace.h. Wire a sink into ExperimentConfig::trace to see exactly
+// why a replay admitted, blocked, or dropped what it did.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <span>
+#include <fstream>
+#include <memory>
+#include <mutex>
+#include <ostream>
 #include <string>
-#include <utility>
 
-#include "common/types.h"
-#include "routing/path.h"
+#include "obs/trace.h"
 
 namespace drtp::sim {
-
-/// Post-admission APLV maxima on the links of a backup route: for each
-/// link of the route, the largest number of backup channels any single
-/// primary-link failure would activate on it. Spans point into caller
-/// storage and are valid only for the duration of the callback.
-using BackupAplv = std::span<const std::pair<LinkId, std::int32_t>>;
-
-/// Receiver for replay events. Implementations must tolerate any call
-/// order the simulator produces; all calls carry the simulation time.
-/// Every callback defaults to a no-op so sinks override only the events
-/// they render.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  /// A DR-connection request arrived (always followed by OnAdmit or
-  /// OnBlock at the same timestamp).
-  virtual void OnRequest(Time /*t*/, ConnId /*conn*/, NodeId /*src*/,
-                         NodeId /*dst*/, Bandwidth /*bw*/) {}
-  virtual void OnAdmit(Time /*t*/, ConnId /*conn*/,
-                       const routing::Path& /*primary*/,
-                       const routing::Path* /*backup*/, Bandwidth /*bw*/,
-                       BackupAplv /*backup_aplv*/) {}
-  virtual void OnBlock(Time /*t*/, ConnId /*conn*/, NodeId /*src*/,
-                       NodeId /*dst*/) {}
-  virtual void OnRelease(Time /*t*/, ConnId /*conn*/) {}
-  /// Aggregate failure impact; the per-connection consequences follow as
-  /// OnFailover / OnDrop / OnBackupBreak / OnReestablish calls.
-  virtual void OnLinkFail(Time /*t*/, LinkId /*link*/, int /*recovered*/,
-                          int /*dropped*/, int /*backups_broken*/) {}
-  virtual void OnLinkRepair(Time /*t*/, LinkId /*link*/) {}
-  /// One connection's backup was activated and promoted to primary.
-  virtual void OnFailover(Time /*t*/, ConnId /*conn*/,
-                          const routing::Path& /*promoted*/) {}
-  /// One connection was lost: primary hit with no activatable backup.
-  virtual void OnDrop(Time /*t*/, ConnId /*conn*/) {}
-  /// One connection's (unactivated) backup was broken and released.
-  virtual void OnBackupBreak(Time /*t*/, ConnId /*conn*/) {}
-  /// Step-4 reconfiguration registered a fresh backup for a connection.
-  virtual void OnReestablish(Time /*t*/, ConnId /*conn*/,
-                             const routing::Path& /*backup*/,
-                             BackupAplv /*backup_aplv*/) {}
-  /// Correlated faults (scenario schema v2): a node failure takes down all
-  /// incident links at once, an SRLG failure every link in the risk group.
-  /// Per-connection consequences follow as OnFailover / OnDrop /
-  /// OnBackupBreak / OnReestablish calls, exactly as after OnLinkFail.
-  virtual void OnNodeFail(Time /*t*/, NodeId /*node*/, int /*recovered*/,
-                          int /*dropped*/, int /*backups_broken*/) {}
-  virtual void OnNodeRepair(Time /*t*/, NodeId /*node*/) {}
-  virtual void OnSrlgFail(Time /*t*/, SrlgId /*srlg*/, int /*recovered*/,
-                          int /*dropped*/, int /*backups_broken*/) {}
-  virtual void OnSrlgRepair(Time /*t*/, SrlgId /*srlg*/) {}
-  /// Step 4 found no feasible backup: the connection keeps running
-  /// *unprotected* and enters jittered-backoff re-protection (a later
-  /// OnReestablish marks success).
-  virtual void OnDegrade(Time /*t*/, ConnId /*conn*/, int /*retries_left*/) {}
-};
 
 /// Renders one line per event to a stream:
 ///   0.3127 + conn 12 primary 3-7-22 backup 3-9-14-22
@@ -95,84 +36,24 @@ class TraceSink {
 ///   9.5000 s srlg 2 repaired
 ///   9.1000 d conn 12 degraded retries-left 6
 /// Requests are not rendered (each is immediately followed by its admit
-/// or block line).
-class TextTraceSink : public TraceSink {
+/// or block line). Locks per record, like the other obs sinks.
+class TextTraceSink : public obs::TraceSink {
  public:
-  explicit TextTraceSink(std::ostream& os) : os_(os) {}
+  /// Writes to a caller-owned stream (kept alive by the caller).
+  explicit TextTraceSink(std::ostream& os) : os_(&os) {}
+  /// Truncates and writes `path`; throws CheckError when unwritable.
+  explicit TextTraceSink(const std::string& path);
 
-  void OnAdmit(Time t, ConnId conn, const routing::Path& primary,
-               const routing::Path* backup, Bandwidth bw,
-               BackupAplv backup_aplv) override;
-  void OnBlock(Time t, ConnId conn, NodeId src, NodeId dst) override;
-  void OnRelease(Time t, ConnId conn) override;
-  void OnLinkFail(Time t, LinkId link, int recovered, int dropped,
-                  int backups_broken) override;
-  void OnLinkRepair(Time t, LinkId link) override;
-  void OnFailover(Time t, ConnId conn,
-                  const routing::Path& promoted) override;
-  void OnDrop(Time t, ConnId conn) override;
-  void OnBackupBreak(Time t, ConnId conn) override;
-  void OnReestablish(Time t, ConnId conn, const routing::Path& backup,
-                     BackupAplv backup_aplv) override;
-  void OnNodeFail(Time t, NodeId node, int recovered, int dropped,
-                  int backups_broken) override;
-  void OnNodeRepair(Time t, NodeId node) override;
-  void OnSrlgFail(Time t, SrlgId srlg, int recovered, int dropped,
-                  int backups_broken) override;
-  void OnSrlgRepair(Time t, SrlgId srlg) override;
-  void OnDegrade(Time t, ConnId conn, int retries_left) override;
+  void Write(const obs::TraceEvent& event) override;
+  void Finish() override;
 
   std::int64_t lines_written() const { return lines_; }
 
  private:
-  std::ostream& os_;
+  std::unique_ptr<std::ofstream> owned_;
+  std::ostream* os_;
+  std::mutex mu_;
   std::int64_t lines_ = 0;
-};
-
-/// Counts events by kind without formatting — cheap always-on statistics.
-class CountingTraceSink : public TraceSink {
- public:
-  void OnRequest(Time, ConnId, NodeId, NodeId, Bandwidth) override {
-    ++requests;
-  }
-  void OnAdmit(Time, ConnId, const routing::Path&, const routing::Path*,
-               Bandwidth, BackupAplv) override {
-    ++admits;
-  }
-  void OnBlock(Time, ConnId, NodeId, NodeId) override { ++blocks; }
-  void OnRelease(Time, ConnId) override { ++releases; }
-  void OnLinkFail(Time, LinkId, int, int, int) override { ++fails; }
-  void OnLinkRepair(Time, LinkId) override { ++repairs; }
-  void OnFailover(Time, ConnId, const routing::Path&) override {
-    ++failovers;
-  }
-  void OnDrop(Time, ConnId) override { ++drops; }
-  void OnBackupBreak(Time, ConnId) override { ++backup_breaks; }
-  void OnReestablish(Time, ConnId, const routing::Path&,
-                     BackupAplv) override {
-    ++reestablishes;
-  }
-  void OnNodeFail(Time, NodeId, int, int, int) override { ++node_fails; }
-  void OnNodeRepair(Time, NodeId) override { ++node_repairs; }
-  void OnSrlgFail(Time, SrlgId, int, int, int) override { ++srlg_fails; }
-  void OnSrlgRepair(Time, SrlgId) override { ++srlg_repairs; }
-  void OnDegrade(Time, ConnId, int) override { ++degrades; }
-
-  std::int64_t requests = 0;
-  std::int64_t admits = 0;
-  std::int64_t blocks = 0;
-  std::int64_t releases = 0;
-  std::int64_t fails = 0;
-  std::int64_t repairs = 0;
-  std::int64_t failovers = 0;
-  std::int64_t drops = 0;
-  std::int64_t backup_breaks = 0;
-  std::int64_t reestablishes = 0;
-  std::int64_t node_fails = 0;
-  std::int64_t node_repairs = 0;
-  std::int64_t srlg_fails = 0;
-  std::int64_t srlg_repairs = 0;
-  std::int64_t degrades = 0;
 };
 
 }  // namespace drtp::sim

@@ -1,6 +1,6 @@
 // Tests for the drtp::obs layer: metrics registry (including under the
-// work-stealing pool), histogram semantics, JSON export determinism, the
-// sim -> obs trace bridge, both trace exporters, and the golden-file
+// work-stealing pool), histogram semantics, JSON export determinism, both
+// trace exporters, the sweep's per-cell trace stamps, and the golden-file
 // property that a fixed-seed sweep's drtp.trace/1 output is independent
 // of --jobs.
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include "obs/trace.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
-#include "sim/obs_bridge.h"
 
 namespace drtp::obs {
 namespace {
@@ -371,26 +370,6 @@ TEST(Trace, ChromeSinkOpensAndClosesSpans) {
   EXPECT_EQ(out.substr(out.size() - 3), "]}\n");
 }
 
-TEST(Trace, ObsBridgeStampsSchemeAndCell) {
-  std::ostringstream os;
-  JsonlTraceSink jsonl(os);
-  sim::ObsBridge bridge(jsonl, "P-LSR", /*cell=*/5);
-  bridge.OnRequest(2.0, 1, 0, 3, 500);
-  bridge.OnLinkFail(4.0, 7, 2, 1, 0);
-  jsonl.Finish();
-
-  std::istringstream lines(os.str());
-  std::string l1, l2;
-  ASSERT_TRUE(std::getline(lines, l1));
-  ASSERT_TRUE(std::getline(lines, l2));
-  EXPECT_NE(l1.find("\"ev\":\"request\""), std::string::npos);
-  EXPECT_NE(l1.find("\"scheme\":\"P-LSR\""), std::string::npos);
-  EXPECT_NE(l1.find("\"cell\":5"), std::string::npos);
-  EXPECT_NE(l2.find("\"ev\":\"link_fail\""), std::string::npos);
-  EXPECT_NE(l2.find("\"recovered\":2"), std::string::npos);
-  EXPECT_NE(l2.find("\"dropped\":1"), std::string::npos);
-}
-
 // --- golden-file determinism across --jobs --------------------------------
 
 runner::SweepSpec TinySpec() {
@@ -581,6 +560,28 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverTearADump) {
               static_cast<std::int64_t>(kFlightRingSlots) * kWriters);
   } else {
     EXPECT_EQ(seen, 0);
+  }
+}
+
+TEST(Trace, SweepCellStampsCellAndScheme) {
+  runner::SweepSpec spec = TinySpec();
+  spec.schemes = {"D-LSR", "P-LSR"};
+  runner::SweepEngine engine(spec);
+  const runner::Cell cell = engine.Cells().at(1);
+  ASSERT_EQ(cell.index, 1u);
+  std::ostringstream os;
+  JsonlTraceSink sink(os);
+  engine.RunCell(cell, &sink);
+  sink.Finish();
+
+  EXPECT_GT(sink.lines_written(), 0);
+  std::istringstream lines(os.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    EXPECT_NE(line.find("\"cell\":1,"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"scheme\":\"" + cell.scheme + "\""),
+              std::string::npos)
+        << line;
   }
 }
 

@@ -9,6 +9,7 @@
 #include "drtp/network.h"
 #include "drtp/plsr.h"
 #include "routing/dijkstra.h"
+#include "sim/paper.h"
 
 #include "net/generators.h"
 
@@ -273,6 +274,18 @@ TEST(SelectBackupFor, ReroutesAfterFailover) {
   ASSERT_TRUE(re.has_value());
   EXPECT_TRUE(re->LinkDisjoint(conn->primary));
   (void)sel;
+}
+
+// Schemes are chosen by label (drtpsim, sweeps, the daemon) while
+// RunMetrics and trace records carry name(); the two must agree.
+TEST(SchemeNames, MatchMakeSchemeLabels) {
+  const net::Topology topo = net::MakeGrid(3, 3, Mbps(10));
+  for (const std::string label :
+       {"D-LSR", "P-LSR", "BF", "NoBackup", "RandomBackup", "SD-Backup",
+        "P-LSR-SRLG-SOFT", "P-LSR-SRLG-HARD", "D-LSR-SRLG-SOFT",
+        "D-LSR-SRLG-HARD", "SRLG-PAIR"}) {
+    EXPECT_EQ(sim::MakeScheme(label, topo, 1)->name(), label);
+  }
 }
 
 }  // namespace

@@ -25,19 +25,19 @@
 #include <string>
 
 #include "common/flags.h"
+#include "common/json.h"
 #include "common/table.h"
 #include "fault/auditor.h"
 #include "fault/plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/obs_bridge.h"
 #include "drtp/drtp.h"
 #include "drtp/failure.h"
 #include "net/graphio.h"
-#include "runner/json.h"
 #include "runner/sink.h"
 #include "sim/experiment.h"
 #include "sim/paper.h"
+#include "sim/trace.h"
 #include "svc/engine.h"
 #include "svc/wal.h"
 
@@ -269,27 +269,16 @@ int CmdRun(int argc, char** argv) {
   ec.warmup = sc.traffic.duration * warmup_frac;
   ec.sample_interval = sc.traffic.duration / 50.0;
   ec.lsdb_refresh_interval = refresh;
-  std::ofstream trace_file;
-  std::unique_ptr<sim::TextTraceSink> trace;
-  std::unique_ptr<obs::TraceSink> obs_trace;
-  std::unique_ptr<sim::ObsBridge> bridge;
+  std::unique_ptr<obs::TraceSink> trace;
   if (!trace_path.empty()) {
     if (trace_format == "text") {
-      trace_file.open(trace_path);
-      if (!trace_file.good()) {
-        return Fail("cannot write '" + trace_path + "'");
-      }
-      trace = std::make_unique<sim::TextTraceSink>(trace_file);
-      ec.trace = trace.get();
+      trace = std::make_unique<sim::TextTraceSink>(trace_path);
+    } else if (trace_format == "jsonl") {
+      trace = std::make_unique<obs::JsonlTraceSink>(trace_path);
     } else {
-      if (trace_format == "jsonl") {
-        obs_trace = std::make_unique<obs::JsonlTraceSink>(trace_path);
-      } else {
-        obs_trace = std::make_unique<obs::ChromeTraceSink>(trace_path);
-      }
-      bridge = std::make_unique<sim::ObsBridge>(*obs_trace, scheme_name);
-      ec.trace = bridge.get();
+      trace = std::make_unique<obs::ChromeTraceSink>(trace_path);
     }
+    ec.trace = trace.get();
   }
   auto scheme = sim::MakeScheme(scheme_name, topo,
                                 static_cast<std::uint64_t>(seed));
@@ -313,7 +302,7 @@ int CmdRun(int argc, char** argv) {
     };
   }
   const sim::RunMetrics m = sim::RunScenario(topo, sc, *scheme, ec);
-  if (obs_trace != nullptr) obs_trace->Finish();
+  if (trace != nullptr) trace->Finish();
   int exit_code = 0;
   if (auditor != nullptr) {
     std::fprintf(stderr,
@@ -323,17 +312,18 @@ int CmdRun(int argc, char** argv) {
                  auditor->ok() ? "" : " — INVARIANTS BROKEN");
     if (!auditor->ok()) exit_code = 3;
   }
-  if (trace != nullptr) {
+  if (const auto* text =
+          dynamic_cast<const sim::TextTraceSink*>(trace.get())) {
     std::fprintf(stderr, "wrote %lld trace lines to %s\n",
-                 static_cast<long long>(trace->lines_written()),
+                 static_cast<long long>(text->lines_written()),
                  trace_path.c_str());
-  } else if (obs_trace != nullptr) {
+  } else if (trace != nullptr) {
     std::fprintf(stderr, "wrote %s trace to %s\n", trace_format.c_str(),
                  trace_path.c_str());
   }
   if (!metrics_out.empty()) {
     const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
-    runner::JsonWriter w;
+    JsonWriter w;
     snap.WriteJson(w, metrics_timings);
     std::ofstream os(metrics_out, std::ios::trunc);
     if (!os.good()) return Fail("cannot write '" + metrics_out + "'");
@@ -341,7 +331,7 @@ int CmdRun(int argc, char** argv) {
   }
 
   if (format == "json") {
-    runner::JsonWriter w;
+    JsonWriter w;
     w.BeginObject();
     w.Key("schema").String(runner::kRunJsonSchema);
     w.Key("topo").String(topo_path);

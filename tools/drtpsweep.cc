@@ -31,6 +31,7 @@
 
 #include "common/check.h"
 #include "common/flags.h"
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runner/checkpoint.h"
@@ -315,7 +316,7 @@ int main(int argc, char** argv) {
     }
     if (!metrics_out.empty()) {
       const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
-      runner::JsonWriter w;
+      JsonWriter w;
       snap.WriteJson(w, metrics_timings);
       std::ofstream os(metrics_out, std::ios::trunc);
       DRTP_CHECK_MSG(os.good(), "cannot write '" << metrics_out << "'");

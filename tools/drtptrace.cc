@@ -29,22 +29,32 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flags.h"
 #include "common/table.h"
 #include "common/types.h"
+#include "obs/trace.h"
 
 using namespace drtp;
 
 namespace {
 
-/// Event kinds in drtp.trace/1, in reporting order.
-const char* const kKinds[] = {"request",     "admit",       "block",
-                              "release",     "link_fail",   "link_repair",
-                              "failover",    "drop",        "backup_break",
-                              "reestablish"};
-constexpr int kNumKinds = static_cast<int>(std::size(kKinds));
+/// Event kinds in drtp.trace/1, in enum (reporting) order: every name
+/// obs::TraceEventKindName knows, up to the "?" past the last kind.
+const std::vector<std::string>& Kinds() {
+  static const std::vector<std::string> kinds = [] {
+    std::vector<std::string> out;
+    for (int k = 0;; ++k) {
+      const std::string_view name =
+          obs::TraceEventKindName(static_cast<obs::TraceEventKind>(k));
+      if (name == "?") return out;
+      out.emplace_back(name);
+    }
+  }();
+  return kinds;
+}
 
 /// Extracts the string value of `"key":"..."` from a one-line JSON
 /// object; empty when absent. Handles escaped characters by stopping at
@@ -121,7 +131,8 @@ std::string Quantile(std::vector<double>& values, double q, int prec) {
 }
 
 struct SchemeStats {
-  std::int64_t counts[kNumKinds] = {};
+  std::vector<std::int64_t> counts =
+      std::vector<std::int64_t>(Kinds().size());
   std::vector<double> promoted_hops;
   std::vector<double> reestablish_gaps;
   /// conn -> time its backup was consumed or broken (awaiting step 4).
@@ -195,9 +206,8 @@ int main(int argc, char** argv) {
       continue;
     }
     const auto kind =
-        std::find(std::begin(kKinds), std::end(kKinds), ev) -
-        std::begin(kKinds);
-    if (kind == kNumKinds) {
+        std::find(Kinds().begin(), Kinds().end(), ev) - Kinds().begin();
+    if (kind == std::ssize(Kinds())) {
       ++skipped;
       continue;
     }
@@ -233,13 +243,13 @@ int main(int argc, char** argv) {
   if (!schemes.empty() || !flight.any()) {
     TextTable counts([] {
       std::vector<std::string> headers{"scheme"};
-      for (const char* k : kKinds) headers.emplace_back(k);
+      headers.insert(headers.end(), Kinds().begin(), Kinds().end());
       return headers;
     }());
     for (auto& [name, s] : schemes) {
       counts.BeginRow();
       counts.Cell(name);
-      for (int k = 0; k < kNumKinds; ++k) counts.Cell(s.counts[k]);
+      for (const std::int64_t n : s.counts) counts.Cell(n);
     }
     std::printf("Event counts (%lld lines, %lld skipped):\n",
                 static_cast<long long>(lines),
