@@ -14,8 +14,30 @@ Bandwidth DemandVector::at(LinkId j) const {
   return vals_[static_cast<std::size_t>(it - keys_.begin())];
 }
 
+Bandwidth DemandVector::ScanBlock(std::size_t b) const {
+  const auto lo = static_cast<LinkId>(b * kBlock);
+  const LinkId hi = std::min(lo + kBlock, num_links_);
+  Bandwidth m = 0;
+  if (!wide()) {
+    for (LinkId j = lo; j < hi; ++j) {
+      m = std::max(m, demand_[static_cast<std::size_t>(j)]);
+    }
+  } else {
+    auto it = std::lower_bound(keys_.begin(), keys_.end(), lo);
+    for (; it != keys_.end() && *it < hi; ++it) {
+      m = std::max(m, vals_[static_cast<std::size_t>(it - keys_.begin())]);
+    }
+  }
+  return m;
+}
+
 void DemandVector::Add(const routing::LinkSet& lset, Bandwidth bw) {
   DRTP_CHECK(bw > 0);
+  if (block_max_.empty()) {
+    block_max_.assign(static_cast<std::size_t>((num_links_ + kBlock - 1) /
+                                               kBlock),
+                      0);
+  }
   for (LinkId j : lset) {
     DRTP_CHECK(j >= 0 && j < num_links_);
     Bandwidth d;
@@ -31,18 +53,22 @@ void DemandVector::Add(const routing::LinkSet& lset, Bandwidth bw) {
         d = bw;
       }
     }
-    if (d > max_) max_ = d;
+    Bandwidth& block = block_max_[static_cast<std::size_t>(j / kBlock)];
+    block = std::max(block, d);
+    max_ = std::max(max_, d);
   }
 }
 
 void DemandVector::Remove(const routing::LinkSet& lset, Bandwidth bw) {
-  bool touched_max = false;
+  DRTP_CHECK(bw > 0);
+  bool max_dropped = false;
   for (LinkId j : lset) {
     DRTP_CHECK(j >= 0 && j < num_links_);
+    Bandwidth before;
     if (!wide()) {
       auto& d = demand_[static_cast<std::size_t>(j)];
       DRTP_CHECK_MSG(d >= bw, "removing more demand than present on " << j);
-      if (d == max_) touched_max = true;
+      before = d;
       d -= bw;
     } else {
       const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
@@ -51,21 +77,22 @@ void DemandVector::Remove(const routing::LinkSet& lset, Bandwidth bw) {
                              bw,
                      "removing more demand than present on " << j);
       const auto idx = static_cast<std::size_t>(it - keys_.begin());
-      if (vals_[idx] == max_) touched_max = true;
+      before = vals_[idx];
       vals_[idx] -= bw;
       if (vals_[idx] == 0) {  // canonical: no zero entries
         keys_.erase(it);
         vals_.erase(vals_.begin() + static_cast<std::ptrdiff_t>(idx));
       }
     }
-  }
-  if (touched_max) {
-    max_ = 0;
-    if (!wide()) {
-      for (Bandwidth d : demand_) max_ = std::max(max_, d);
-    } else {
-      for (Bandwidth d : vals_) max_ = std::max(max_, d);
+    // Only the element holding its block's maximum can lower it.
+    const auto b = static_cast<std::size_t>(j / kBlock);
+    if (before == block_max_[b]) {
+      block_max_[b] = ScanBlock(b);
+      if (before == max_ && block_max_[b] < before) max_dropped = true;
     }
+  }
+  if (max_dropped) {
+    max_ = *std::max_element(block_max_.begin(), block_max_.end());
   }
 }
 

@@ -45,6 +45,12 @@ enum class SpareMode {
 ///
 /// Same hybrid storage as lsdb::Aplv: dense at paper scale, a sorted
 /// nonzero-only struct-of-arrays pair above kWideLinkThreshold links.
+///
+/// Max() is exact without a full rescan: block_max_ keeps the maximum of
+/// each run of kBlock consecutive link ids. A removal that lowers its
+/// block's maximum rescans that block only, and the global maximum is
+/// re-read from the block maxima only when it dropped, so a removal costs
+/// O(|LSET| · kBlock + links / kBlock) instead of O(links).
 class DemandVector {
  public:
   DemandVector() = default;
@@ -62,12 +68,20 @@ class DemandVector {
   Bandwidth at(LinkId j) const;
 
  private:
+  static constexpr int kBlock = 64;
+
   bool wide() const { return num_links_ > lsdb::kWideLinkThreshold; }
+  /// Maximum demand over link ids [b·kBlock, (b+1)·kBlock).
+  Bandwidth ScanBlock(std::size_t b) const;
 
   int num_links_ = 0;
   std::vector<Bandwidth> demand_;  // dense mode only
   std::vector<LinkId> keys_;       // wide mode: sorted nonzero indices
   std::vector<Bandwidth> vals_;    // wide mode: demands, parallel to keys_
+  /// Per-block maxima; allocated by the first Add, so the many vectors
+  /// that never carry a backup (and the auditor's rebuilt ones) stay
+  /// cheap to construct.
+  std::vector<Bandwidth> block_max_;
   Bandwidth max_ = 0;
 };
 

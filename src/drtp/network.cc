@@ -139,8 +139,7 @@ int DrtpNetwork::RegisterBackup(ConnId id, const routing::Path& backup) {
       .conn_id = id, .bw = conn.bw, .primary_lset = conn.primary_lset};
   int overbooked_hops = 0;
   for (LinkId l : backup.links()) {
-    const NodeId router = topo_.link(l).src;
-    if (!manager(router).RegisterBackupHop(l, packet)) {
+    if (!OwnerOf(l).RegisterBackupHop(l, packet)) {
       ++overbooked_hops;
       overbooked_.insert(l);
     }
@@ -160,7 +159,7 @@ void DrtpNetwork::ReleaseBackupAt(ConnId id, std::size_t index) {
   const BackupReleasePacket packet{
       .conn_id = id, .bw = conn.bw, .primary_lset = conn.primary_lset};
   for (LinkId l : conn.backups[index].links()) {
-    manager(topo_.link(l).src).ReleaseBackupHop(l, packet);
+    OwnerOf(l).ReleaseBackupHop(l, packet);
     // A connection's backups are pairwise disjoint, so no surviving backup
     // of `id` can still hold this link.
     SortedErase(backup_conns_[static_cast<std::size_t>(l)], id);
@@ -221,7 +220,7 @@ bool DrtpNetwork::ActivateBackup(ConnId id, std::size_t index, Time now) {
     }
     reserved.push_back(l);
     MarkDirty(l);
-    if (manager(topo_.link(l).src).IsOverbooked(l)) overbooked_.insert(l);
+    if (OwnerOf(l).IsOverbooked(l)) overbooked_.insert(l);
   }
   if (!ok) {
     for (LinkId r : reserved) ledger_.ReleasePrime(r, conn.bw);
@@ -254,6 +253,10 @@ DrConnectionManager& DrtpNetwork::manager(NodeId n) {
 const DrConnectionManager& DrtpNetwork::manager(NodeId n) const {
   DRTP_CHECK(n >= 0 && n < topo_.num_nodes());
   return managers_[static_cast<std::size_t>(n)];
+}
+
+DrConnectionManager& DrtpNetwork::OwnerOf(LinkId l) {
+  return managers_[static_cast<std::size_t>(topo_.link(l).src)];
 }
 
 const lsdb::Aplv& DrtpNetwork::aplv(LinkId l) const {
@@ -358,8 +361,12 @@ void DrtpNetwork::PublishFullTo(lsdb::LinkStateDb& db, Time now) const {
 void DrtpNetwork::ReconcileOverbooked() {
   for (auto it = overbooked_.begin(); it != overbooked_.end();) {
     const LinkId l = *it;
-    MarkDirty(l);  // ReconcileSpare may grow or shrink the pool
-    if (manager(topo_.link(l).src).ReconcileSpare(l)) {
+    const Bandwidth spare = ledger_.spare(l);
+    const bool met = OwnerOf(l).ReconcileSpare(l);
+    // The pool moves only between spare and free, so an unchanged spare
+    // means an unchanged advertisement.
+    if (ledger_.spare(l) != spare) MarkDirty(l);
+    if (met) {
       it = overbooked_.erase(it);
     } else {
       ++it;
@@ -404,6 +411,9 @@ void DrtpNetwork::CheckConsistency() const {
             manager(topo_.link(l).src).managed(l).srlg_aplv,
         "per-SRLG aggregate mismatch on link " << l);
     const DemandVector& demand = manager(topo_.link(l).src).managed(l).demand;
+    DRTP_CHECK_MSG(expected_demand[static_cast<std::size_t>(l)].Max() ==
+                       demand.Max(),
+                   "demand maximum mismatch on link " << l);
     for (LinkId j = 0; j < topo_.num_links(); ++j) {
       DRTP_CHECK_MSG(
           expected_demand[static_cast<std::size_t>(l)].at(j) == demand.at(j),

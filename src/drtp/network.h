@@ -132,6 +132,8 @@ class DrtpNetwork {
 
   /// Links whose spare pool is below target (overbooked).
   std::vector<LinkId> OverbookedLinks() const;
+  /// How many links OverbookedLinks() would return, without the copy.
+  int OverbookedCount() const { return static_cast<int>(overbooked_.size()); }
 
   // ---- link-state advertisement ------------------------------------------
 
@@ -161,6 +163,11 @@ class DrtpNetwork {
 
  private:
   void ReconcileOverbooked();
+
+  /// The manager that owns link `l` (its source router's), without the
+  /// public manager()'s conservative dirtying of every out-link: callers
+  /// mark exactly the links they change.
+  DrConnectionManager& OwnerOf(LinkId l);
 
   /// Records that link `l`'s advertised state may have changed since the
   /// last publication. Cheap (bitmap-deduplicated); over-marking is

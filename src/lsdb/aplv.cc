@@ -1,6 +1,7 @@
 #include "lsdb/aplv.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace drtp::lsdb {
 
@@ -10,6 +11,22 @@ std::int32_t Aplv::count(LinkId j) const {
   const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
   if (it == keys_.end() || *it != j) return 0;
   return cnts_[static_cast<std::size_t>(it - keys_.begin())];
+}
+
+void Aplv::HistInc(std::int32_t c) {
+  const auto i = static_cast<std::size_t>(c - 1);
+  if (i > 0) --hist_[i - 1];
+  if (i == hist_.size()) hist_.push_back(0);
+  ++hist_[i];
+}
+
+void Aplv::HistDec(std::int32_t c) {
+  const auto i = static_cast<std::size_t>(c);
+  --hist_[i];
+  if (i > 0) ++hist_[i - 1];
+  // Only the top bin can empty out: its elements moved one bin down, so
+  // one pop restores the canonical size Max().
+  if (hist_.back() == 0) hist_.pop_back();
 }
 
 void Aplv::AddPrimaryLset(const routing::LinkSet& lset) {
@@ -30,29 +47,28 @@ void Aplv::AddPrimaryLset(const routing::LinkSet& lset) {
     }
     ++l1_;
     if (c == 1) cv_.Set(j, true);
-    if (c > max_) {
-      max_ = c;
-      num_at_max_ = 1;
-    } else if (c == max_) {
-      ++num_at_max_;
-    }
+    HistInc(c);
   }
 }
 
 void Aplv::RemovePrimaryLset(const routing::LinkSet& lset) {
-  // Validate the whole LSET before touching anything: a mid-loop failure
-  // used to leave counts/l1_/num_at_max_/cv_ partially decremented, so
-  // a caller that catches the CheckError (tests, defensive teardown)
-  // kept a torn vector. The multiplicity check runs over the prefix so a
-  // LSET that repeats a link needs that many registered occurrences, not
-  // just a nonzero count.
+  // Validate the whole LSET before touching anything, so a caller that
+  // catches the CheckError (tests, defensive teardown) never keeps a torn
+  // vector. A LSET that repeats a link needs that many registered
+  // occurrences, not just a nonzero count; a strictly ascending one
+  // cannot repeat, so it skips the per-prefix multiplicity count.
+  const bool sorted_unique =
+      std::adjacent_find(lset.begin(), lset.end(),
+                         std::greater_equal<>()) == lset.end();
   for (std::size_t i = 0; i < lset.size(); ++i) {
     const LinkId j = lset[i];
     DRTP_CHECK_MSG(j >= 0 && j < size(),
                    "link " << j << " outside the " << size() << "-link APLV");
     std::int32_t multiplicity = 1;
-    for (std::size_t k = 0; k < i; ++k) {
-      if (lset[k] == j) ++multiplicity;
+    if (!sorted_unique) {
+      for (std::size_t k = 0; k < i; ++k) {
+        if (lset[k] == j) ++multiplicity;
+      }
     }
     DRTP_CHECK_MSG(count(j) >= multiplicity,
                    "removing absent primary link " << j);
@@ -60,13 +76,10 @@ void Aplv::RemovePrimaryLset(const routing::LinkSet& lset) {
   for (LinkId j : lset) {
     std::int32_t c;
     if (!wide()) {
-      auto& slot = counts_[static_cast<std::size_t>(j)];
-      if (slot == max_) --num_at_max_;
-      c = --slot;
+      c = --counts_[static_cast<std::size_t>(j)];
     } else {
       const auto it = std::lower_bound(keys_.begin(), keys_.end(), j);
       const auto idx = static_cast<std::size_t>(it - keys_.begin());
-      if (cnts_[idx] == max_) --num_at_max_;
       c = --cnts_[idx];
       if (c == 0) {  // keep the sparse form canonical (no zero entries)
         keys_.erase(it);
@@ -75,25 +88,7 @@ void Aplv::RemovePrimaryLset(const routing::LinkSet& lset) {
     }
     --l1_;
     if (c == 0) cv_.Set(j, false);
-  }
-  // Only when the last element holding the maximum was decremented can the
-  // maximum drop; otherwise max_ (and its survivor count) stand as-is.
-  if (max_ > 0 && num_at_max_ == 0) {
-    max_ = 0;
-    num_at_max_ = 0;
-    const auto scan = [&](std::int32_t c) {
-      if (c > max_) {
-        max_ = c;
-        num_at_max_ = 1;
-      } else if (c == max_ && max_ > 0) {
-        ++num_at_max_;
-      }
-    };
-    if (!wide()) {
-      for (std::int32_t c : counts_) scan(c);
-    } else {
-      for (std::int32_t c : cnts_) scan(c);
-    }
+    HistDec(c);
   }
 }
 

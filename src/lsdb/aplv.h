@@ -28,6 +28,13 @@ namespace drtp::lsdb {
 /// O(links) per instance across O(links) instances. Entries are erased
 /// when they hit zero, keeping the sparse form canonical so the defaulted
 /// equality below stays semantic.
+///
+/// The maximum comes from a count-of-counts histogram: hist_[c - 1] is the
+/// number of elements equal to c, and hist_.size() == Max() (trailing
+/// zero bins are popped). Every element step moves one unit between two
+/// adjacent bins, so Max() and num_at_max() stay exact in O(1) per
+/// element, whatever the vector's width. The histogram is canonical too,
+/// so the defaulted equality still compares only the counts.
 class Aplv {
  public:
   Aplv() = default;
@@ -45,11 +52,11 @@ class Aplv {
 
   /// max_j APLV[j] — worst-case simultaneous activations on this link
   /// under a single link failure.
-  std::int32_t Max() const { return max_; }
+  std::int32_t Max() const { return static_cast<std::int32_t>(hist_.size()); }
 
   /// How many elements currently equal Max() (0 when Max() is 0);
   /// exposed so tests can cross-check the incremental max tracking.
-  std::int32_t num_at_max() const { return num_at_max_; }
+  std::int32_t num_at_max() const { return hist_.empty() ? 0 : hist_.back(); }
 
   /// Registers a backup on this link whose primary has the given LSET:
   /// increments every element indexed by the primary's links.
@@ -57,7 +64,10 @@ class Aplv {
 
   /// Inverse of AddPrimaryLset. The whole LSET is validated (including
   /// repeated-link multiplicity) before any element changes, so a failed
-  /// removal throws CheckError with the vector untouched.
+  /// removal throws CheckError with the vector untouched. A sorted,
+  /// duplicate-free LSET (every routing::LinkSet) validates in one pass;
+  /// a raw list that repeats a link falls back to counting each link's
+  /// occurrences.
   void RemovePrimaryLset(const routing::LinkSet& lset);
 
   /// Bit-vector abridgement (c_{i,j} = 1 iff a_{i,j} > 0), maintained
@@ -75,6 +85,10 @@ class Aplv {
 
  private:
   bool wide() const { return num_links_ > kWideLinkThreshold; }
+  /// Moves one element from count c - 1 to c (Inc) or from c + 1 to c
+  /// (Dec) in the histogram.
+  void HistInc(std::int32_t c);
+  void HistDec(std::int32_t c);
 
   int num_links_ = 0;
   std::vector<std::int32_t> counts_;  // dense mode only
@@ -82,11 +96,8 @@ class Aplv {
   std::vector<std::int32_t> cnts_;    // wide mode: counts, parallel to keys_
   ConflictVector cv_;
   std::int64_t l1_ = 0;
-  std::int32_t max_ = 0;
-  /// How many elements currently equal max_ (0 when max_ is 0); lets
-  /// RemovePrimaryLset skip the full rescan while another element still
-  /// holds the maximum.
-  std::int32_t num_at_max_ = 0;
+  /// hist_[c - 1] = number of elements equal to c, for c = 1..Max().
+  std::vector<std::int32_t> hist_;
 };
 
 }  // namespace drtp::lsdb

@@ -44,8 +44,8 @@ namespace detail {
 /// in out_links insertion order, so the relaxation sequence — and every
 /// tie-break — matches RunDijkstraLoopAdjList exactly.
 [[gnu::noinline]] void RunDijkstraLoop(const net::Topology& topo, NodeId src,
-                                       LinkCostFn cost,
-                                       DijkstraWorkspace& ws) {
+                                       LinkCostFn cost, DijkstraWorkspace& ws,
+                                       NodeId settle_until) {
   DRTP_CHECK(src >= 0 && src < topo.num_nodes());
   const net::Csr& csr = topo.csr();
   ws.Prepare(topo.num_nodes());
@@ -63,6 +63,9 @@ namespace detail {
     const auto [d, u] = heap.back();
     heap.pop_back();
     if (d > ws.Dist(u)) continue;  // stale
+    // Settled: the parent chain to u is final. The next run clears the
+    // heap's leftovers.
+    if (u == settle_until) return;
     const auto row = static_cast<std::size_t>(u);
     const std::int32_t begin = csr.out_offsets[row];
     const std::int32_t end = csr.out_offsets[row + 1];
@@ -232,7 +235,7 @@ void DijkstraWorkspace::Prepare(int num_nodes) {
 }
 
 void RunDijkstra(const net::Topology& topo, NodeId src, LinkCostFn cost,
-                 DijkstraWorkspace& ws) {
+                 DijkstraWorkspace& ws, NodeId settle_until) {
 #ifndef DRTP_OBS_DISABLED
   // Sampled 1-in-64: the innermost routing kernel, invoked several times
   // per backup selection. The timed path is a separate branch so the
@@ -241,11 +244,11 @@ void RunDijkstra(const net::Topology& topo, NodeId src, LinkCostFn cost,
   thread_local std::uint32_t tick = 0;
   if ((tick++ & 63u) == 0) {
     DRTP_OBS_SPAN("drtp.kernel.dijkstra");
-    detail::RunDijkstraLoop(topo, src, cost, ws);
+    detail::RunDijkstraLoop(topo, src, cost, ws, settle_until);
     return;
   }
 #endif
-  detail::RunDijkstraLoop(topo, src, cost, ws);
+  detail::RunDijkstraLoop(topo, src, cost, ws, settle_until);
 }
 
 void RunDijkstraInt(const net::Topology& topo, NodeId src, IntLinkCostFn cost,
@@ -287,7 +290,7 @@ std::optional<Path> CheapestPath(const net::Topology& topo, NodeId src,
                                  NodeId dst, LinkCostFn cost,
                                  DijkstraWorkspace& ws) {
   DRTP_CHECK(src != dst);
-  RunDijkstra(topo, src, cost, ws);
+  RunDijkstra(topo, src, cost, ws, dst);
   return ws.PathTo(topo, dst);
 }
 

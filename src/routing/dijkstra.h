@@ -50,7 +50,7 @@ namespace detail {
 /// entry paths of RunDijkstra (see dijkstra.cc for why it is split out).
 /// Walks the topology's CSR rows.
 void RunDijkstraLoop(const net::Topology& topo, NodeId src, LinkCostFn cost,
-                     DijkstraWorkspace& ws);
+                     DijkstraWorkspace& ws, NodeId settle_until);
 
 /// Reference implementation over the pointer-chasing Node::out_links
 /// adjacency — the pre-CSR layout, kept as the differential-test oracle
@@ -106,11 +106,9 @@ class DijkstraWorkspace {
   std::optional<Path> PathTo(const net::Topology& topo, NodeId dst) const;
 
  private:
-  friend void RunDijkstra(const net::Topology& topo, NodeId src,
-                          LinkCostFn cost, DijkstraWorkspace& ws);
   friend void detail::RunDijkstraLoop(const net::Topology& topo, NodeId src,
-                                      LinkCostFn cost,
-                                      DijkstraWorkspace& ws);
+                                      LinkCostFn cost, DijkstraWorkspace& ws,
+                                      NodeId settle_until);
   friend void detail::RunDijkstraLoopAdjList(const net::Topology& topo,
                                              NodeId src, LinkCostFn cost,
                                              DijkstraWorkspace& ws);
@@ -146,8 +144,13 @@ DijkstraTree RunDijkstra(const net::Topology& topo, NodeId src,
 
 /// Allocation-free variant: identical tree (same tie-breaks — the heap
 /// replays std::priority_queue's pop order exactly), results land in `ws`.
+///
+/// `settle_until` != kInvalidNode stops the run once that node is settled,
+/// as in RunDijkstraInt: with non-negative costs no node settled later can
+/// relax it, so its parent chain is already final. Only
+/// PathTo(settle_until) may be read afterwards.
 void RunDijkstra(const net::Topology& topo, NodeId src, LinkCostFn cost,
-                 DijkstraWorkspace& ws);
+                 DijkstraWorkspace& ws, NodeId settle_until = kInvalidNode);
 
 /// Integer-cost Dijkstra on a monotone bucket queue (Dial's algorithm) —
 /// O(V + E + max_dist) with no log factor and no per-run allocation once
@@ -171,7 +174,7 @@ void RunDijkstraInt(const net::Topology& topo, NodeId src, IntLinkCostFn cost,
 std::optional<Path> CheapestPath(const net::Topology& topo, NodeId src,
                                  NodeId dst, LinkCostFn cost);
 
-/// Workspace-backed overload for hot paths.
+/// Workspace-backed overload for hot paths. Stops once `dst` settles.
 std::optional<Path> CheapestPath(const net::Topology& topo, NodeId src,
                                  NodeId dst, LinkCostFn cost,
                                  DijkstraWorkspace& ws);

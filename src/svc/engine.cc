@@ -324,8 +324,7 @@ std::string Engine::DoStats(const Request& req) {
   w.Key("batches").Int(stats_.batches);
   w.Key("prime_kbps").Int(net.ledger().TotalPrime());
   w.Key("spare_kbps").Int(net.ledger().TotalSpare());
-  w.Key("overbooked_links")
-      .Int(static_cast<std::int64_t>(net.OverbookedLinks().size()));
+  w.Key("overbooked_links").Int(net.OverbookedCount());
   w.Key("pbk_hits").Int(pbk.hits);
   w.Key("pbk_trials").Int(pbk.trials);
   w.Key("pbk").Double(pbk.value());

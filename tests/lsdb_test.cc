@@ -207,6 +207,79 @@ TEST(AplvProperty, DifferentialChurnWithRepeatedLinks) {
   }
 }
 
+/// The same churn at hier-1k's width (2126 links), where the max
+/// histogram replaced a 2126-entry rescan. Half the picks land on a few
+/// hot links spread over the whole width, so the maximum is contested and
+/// every few steps a removal takes away the last element at the maximum;
+/// a third of the removals target a LSET through a link at the maximum.
+/// LSETs are mostly sorted and duplicate-free (the one-pass validation)
+/// with some raw repeats (the multiplicity fallback).
+TEST(AplvProperty, DifferentialChurnAt1kWidth) {
+  constexpr int kLinks = 2126;
+  ASSERT_LE(kLinks, kWideLinkThreshold);  // the dense path hier-1k runs
+  std::vector<LinkId> hot;
+  for (int i = 0; i < 24; ++i) hot.push_back((i * 89 + 17) % kLinks);
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    Rng rng(seed + 40);
+    Aplv a(kLinks);
+    std::vector<LinkSet> registered;
+    std::vector<std::int32_t> counts(kLinks, 0);
+    for (int step = 0; step < 1500; ++step) {
+      if (registered.empty() || rng.Bernoulli(0.55)) {
+        LinkSet raw;
+        const int n = static_cast<int>(rng.UniformInt(1, 24));
+        for (int i = 0; i < n; ++i) {
+          raw.push_back(rng.Bernoulli(0.5)
+                            ? hot[rng.Index(hot.size())]
+                            : static_cast<LinkId>(rng.Index(kLinks)));
+        }
+        LinkSet lset = rng.Bernoulli(0.8) ? MakeLinkSet(raw) : raw;
+        a.AddPrimaryLset(lset);
+        for (LinkId j : lset) ++counts[static_cast<std::size_t>(j)];
+        registered.push_back(std::move(lset));
+      } else {
+        auto idx = rng.Index(registered.size());
+        if (rng.Bernoulli(0.33)) {
+          for (std::size_t k = 0; k < registered.size(); ++k) {
+            bool at_max = false;
+            for (LinkId j : registered[k]) {
+              at_max = at_max || counts[static_cast<std::size_t>(j)] ==
+                                     a.Max();
+            }
+            if (at_max) {
+              idx = k;
+              break;
+            }
+          }
+        }
+        a.RemovePrimaryLset(registered[idx]);
+        for (LinkId j : registered[idx]) --counts[static_cast<std::size_t>(j)];
+        registered.erase(registered.begin() +
+                         static_cast<std::ptrdiff_t>(idx));
+      }
+      std::int64_t l1 = 0;
+      std::int32_t mx = 0;
+      std::int32_t at_max = 0;
+      for (std::int32_t c : counts) {
+        l1 += c;
+        if (c > mx) {
+          mx = c;
+          at_max = 1;
+        } else if (c == mx && mx > 0) {
+          ++at_max;
+        }
+      }
+      ASSERT_EQ(a.L1(), l1) << "seed " << seed << " step " << step;
+      ASSERT_EQ(a.Max(), mx) << "seed " << seed << " step " << step;
+      ASSERT_EQ(a.num_at_max(), at_max)
+          << "seed " << seed << " step " << step;
+    }
+    // Draining everything returns the canonical empty vector.
+    for (const LinkSet& s : registered) a.RemovePrimaryLset(s);
+    EXPECT_EQ(a, Aplv(kLinks)) << "seed " << seed;
+  }
+}
+
 /// A removal that fails validation must leave the vector untouched —
 /// the old code decremented mid-loop before throwing, leaving counts,
 /// L1, max tracking and the conflict vector torn for any caller that

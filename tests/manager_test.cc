@@ -2,6 +2,8 @@
 // register/release packets and §5 spare-pool sizing/multiplexing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "drtp/manager.h"
@@ -203,6 +205,79 @@ TEST(DemandVector, MatchesAplvUnderUniformBandwidth) {
     aplv.AddPrimaryLset(lset);
     ASSERT_EQ(d.Max(), static_cast<Bandwidth>(aplv.Max()) * Mbps(1));
   }
+}
+
+/// Randomized differential churn for the block-maximum tracking, in the
+/// dense layout at hier-1k's width and in the wide layout. Bandwidths are
+/// mixed, removals come in random order, and a third of them take away a
+/// LSET through a link that holds the maximum. After every operation the
+/// maximum and every element are compared with a recount.
+void DemandChurn(int num_links, std::uint64_t seed) {
+  Rng rng(seed);
+  DemandVector d(num_links);
+  std::vector<LinkId> hot;
+  for (int i = 0; i < 16; ++i) hot.push_back((i * 131 + 5) % num_links);
+  struct Entry {
+    routing::LinkSet lset;
+    Bandwidth bw;
+  };
+  std::vector<Entry> registered;
+  std::vector<Bandwidth> expect(static_cast<std::size_t>(num_links), 0);
+  const auto expect_max = [&] {
+    return *std::max_element(expect.begin(), expect.end());
+  };
+  for (int step = 0; step < 1200; ++step) {
+    if (registered.empty() || rng.Bernoulli(0.55)) {
+      std::vector<LinkId> raw;
+      const int n = static_cast<int>(rng.UniformInt(1, 24));
+      for (int i = 0; i < n; ++i) {
+        raw.push_back(rng.Bernoulli(0.5)
+                          ? hot[rng.Index(hot.size())]
+                          : static_cast<LinkId>(rng.Index(
+                                static_cast<std::size_t>(num_links))));
+      }
+      Entry e{MakeLinkSet(std::move(raw)), rng.UniformInt(1, 2000)};
+      d.Add(e.lset, e.bw);
+      for (LinkId j : e.lset) expect[static_cast<std::size_t>(j)] += e.bw;
+      registered.push_back(std::move(e));
+    } else {
+      auto idx = rng.Index(registered.size());
+      if (rng.Bernoulli(0.33)) {
+        const Bandwidth mx = expect_max();
+        for (std::size_t k = 0; k < registered.size(); ++k) {
+          bool holds_max = false;
+          for (LinkId j : registered[k].lset) {
+            holds_max = holds_max || expect[static_cast<std::size_t>(j)] == mx;
+          }
+          if (holds_max) {
+            idx = k;
+            break;
+          }
+        }
+      }
+      const Entry& e = registered[idx];
+      d.Remove(e.lset, e.bw);
+      for (LinkId j : e.lset) expect[static_cast<std::size_t>(j)] -= e.bw;
+      registered.erase(registered.begin() + static_cast<std::ptrdiff_t>(idx));
+    }
+    ASSERT_EQ(d.Max(), expect_max())
+        << num_links << " links, seed " << seed << ", step " << step;
+    for (LinkId j = 0; j < num_links; ++j) {
+      ASSERT_EQ(d.at(j), expect[static_cast<std::size_t>(j)])
+          << num_links << " links, seed " << seed << ", step " << step
+          << ", element " << j;
+    }
+  }
+}
+
+TEST(DemandVector, DifferentialChurnDenseAt1kWidth) {
+  ASSERT_LE(2126, lsdb::kWideLinkThreshold);
+  DemandChurn(2126, 1);
+  DemandChurn(2126, 2);
+}
+
+TEST(DemandVector, DifferentialChurnWide) {
+  DemandChurn(lsdb::kWideLinkThreshold + 300, 3);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 //     (tests/oracle/failure_scan.h) exactly, sweep totals and per link,
 //   - the link->connection reverse indexes must match brute-force scans.
 // CheckConsistency() rides along, which also re-validates every APLV
-// (including the num_at_max_ fast path in RemovePrimaryLset) and the
-// down-link mirror. The CI sanitizer job runs this file under
+// (including its incrementally kept maximum), every demand vector's
+// maximum and the down-link mirror. The CI sanitizer job runs this file under
 // ASan/UBSan in a Debug build, where PublishTo additionally self-checks
 // its incremental path against a full rewrite.
 #include <gtest/gtest.h>

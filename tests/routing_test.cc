@@ -289,6 +289,49 @@ TEST(DijkstraInt, EarlyExitPathEqualsFullRunPath) {
   }
 }
 
+/// The double kernel's early exit at `dst`: the route must equal the
+/// full tree's, on costs with many ties (small multiples of 0.5, plus the
+/// backup schemes' 1e-3 tie-break offset) and zero-cost and forbidden
+/// links. One workspace serves every query, so a run that stopped with
+/// entries left on the heap must not leak them into the next.
+TEST(Dijkstra, EarlyExitPathEqualsFullTreePath) {
+  for (std::uint64_t seed : {3u, 11u, 19u, 27u}) {
+    const Topology t = MakeWaxman(net::WaxmanConfig{
+        .nodes = 60, .avg_degree = 3.5, .seed = seed});
+    Rng rng(seed * 31 + 7);
+    std::vector<double> costs(static_cast<std::size_t>(t.num_links()));
+    for (auto& c : costs) {
+      if (rng.Bernoulli(0.08)) {
+        c = kInfiniteCost;
+      } else if (rng.Bernoulli(0.15)) {
+        c = 0.0;
+      } else {
+        c = 0.5 * static_cast<double>(rng.Index(4) + 1) +
+            (rng.Bernoulli(0.3) ? 1e-3 : 0.0);
+      }
+    }
+    const auto cost = [&](LinkId l) {
+      return costs[static_cast<std::size_t>(l)];
+    };
+    DijkstraWorkspace early;
+    for (int i = 0; i < 60; ++i) {
+      const NodeId src = static_cast<NodeId>(
+          rng.Index(static_cast<std::size_t>(t.num_nodes())));
+      NodeId dst = static_cast<NodeId>(
+          rng.Index(static_cast<std::size_t>(t.num_nodes())));
+      if (dst == src) dst = (dst + 1) % t.num_nodes();
+      const auto fast = CheapestPath(t, src, dst, cost, early);
+      const auto ref = RunDijkstra(t, src, cost).PathTo(t, dst);
+      ASSERT_EQ(fast.has_value(), ref.has_value())
+          << "seed " << seed << ": " << src << "->" << dst;
+      if (fast.has_value()) {
+        EXPECT_EQ(LinksOf(*fast), LinksOf(*ref))
+            << "seed " << seed << ": " << src << "->" << dst;
+      }
+    }
+  }
+}
+
 TEST(DijkstraInt, NegativeCostRejected) {
   const Topology t = MakeGrid(2, 2, Mbps(1));
   DijkstraWorkspace ws;
