@@ -47,10 +47,12 @@ enum class SpareMode {
 /// nonzero-only struct-of-arrays pair above kWideLinkThreshold links.
 ///
 /// Max() is exact without a full rescan: block_max_ keeps the maximum of
-/// each run of kBlock consecutive link ids. A removal that lowers its
-/// block's maximum rescans that block only, and the global maximum is
-/// re-read from the block maxima only when it dropped, so a removal costs
-/// O(|LSET| · kBlock + links / kBlock) instead of O(links).
+/// each run of kBlock consecutive link ids, and block_at_max_ how many of
+/// the block's elements equal it. A removal from a tied maximum only
+/// decrements that count; one that takes away the block's last maximum
+/// rescans that block only, and the global maximum is re-read from the
+/// block maxima only when it dropped, so a removal costs
+/// O(|LSET| · kBlock + links / kBlock) at worst instead of O(links).
 class DemandVector {
  public:
   DemandVector() = default;
@@ -71,8 +73,9 @@ class DemandVector {
   static constexpr int kBlock = 64;
 
   bool wide() const { return num_links_ > lsdb::kWideLinkThreshold; }
-  /// Maximum demand over link ids [b·kBlock, (b+1)·kBlock).
-  Bandwidth ScanBlock(std::size_t b) const;
+  /// Recomputes block b's maximum over link ids [b·kBlock, (b+1)·kBlock)
+  /// and how many elements hold it.
+  void ScanBlock(std::size_t b);
 
   int num_links_ = 0;
   std::vector<Bandwidth> demand_;  // dense mode only
@@ -82,6 +85,8 @@ class DemandVector {
   /// that never carry a backup (and the auditor's rebuilt ones) stay
   /// cheap to construct.
   std::vector<Bandwidth> block_max_;
+  /// Elements equal to block_max_[b] (meaningful while it is nonzero).
+  std::vector<std::int32_t> block_at_max_;
   Bandwidth max_ = 0;
 };
 
@@ -142,8 +147,10 @@ class DrConnectionManager {
   }
 
  private:
-  const ManagedLink& Owned(LinkId link) const;
-  ManagedLink& Owned(LinkId link);
+  /// Position of `link` among this router's out-links (CHECKs ownership).
+  std::size_t Slot(LinkId link) const;
+  const ManagedLink& Owned(LinkId link) const { return links_[Slot(link)]; }
+  ManagedLink& Owned(LinkId link) { return links_[Slot(link)]; }
 
   NodeId node_;
   /// For SrlgVector maintenance (LinkId -> SrlgId lookups). SRLGs must be
@@ -152,8 +159,11 @@ class DrConnectionManager {
   const net::Topology* topo_;
   net::BandwidthLedger& ledger_;
   SpareMode mode_;
-  /// Keyed by LinkId; only this router's outgoing links are present.
-  std::unordered_map<LinkId, ManagedLink> links_;
+  /// This router's out-links, and their state at the same positions. A
+  /// router has a handful of out-links, so a linear scan finds one faster
+  /// than a hash lookup.
+  std::vector<LinkId> link_ids_;
+  std::vector<ManagedLink> links_;
 };
 
 }  // namespace drtp::core

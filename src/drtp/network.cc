@@ -289,10 +289,15 @@ std::vector<LinkId> DrtpNetwork::OverbookedLinks() const {
   return out;
 }
 
-void DrtpNetwork::WriteRecordTo(lsdb::LinkRecord& rec, LinkId l) const {
-  const core::ManagedLink& ml = manager(topo_.link(l).src).managed(l);
+void DrtpNetwork::WriteRecordTo(lsdb::LinkStateDb& db, LinkId l) const {
+  const ManagedLink& ml = manager(topo_.link(l).src).managed(l);
+  WriteFieldsTo(db.record(l), ml, l);
+  db.SetConflictVector(l, ml.aplv.conflict_vector());
+}
+
+void DrtpNetwork::WriteFieldsTo(lsdb::LinkRecord& rec, const ManagedLink& ml,
+                                LinkId l) const {
   rec.aplv_l1 = ml.aplv.L1();
-  rec.cv = ml.aplv.conflict_vector();
   // Unconditional (even on untagged topologies, where it is an empty
   // copy): the incremental-publish debug compare relies on every field
   // being written.
@@ -318,20 +323,22 @@ void DrtpNetwork::PublishTo(lsdb::LinkStateDb& db, Time now) const {
     static const obs::Counter publishes =
         obs::GetCounter("drtp.lsdb.publish_incremental");
     publishes.Add();
-    for (LinkId l : dirty_links_) WriteRecordTo(db.record(l), l);
+    for (LinkId l : dirty_links_) WriteRecordTo(db, l);
 #ifndef NDEBUG
-    // The incremental path must be indistinguishable from a full rewrite.
+    // The incremental path must be indistinguishable from a full rewrite,
+    // and the conflict index must still be the transpose of the CVs.
     for (LinkId l = 0; l < topo_.num_links(); ++l) {
+      const ManagedLink& ml = manager(topo_.link(l).src).managed(l);
       lsdb::LinkRecord full;
-      WriteRecordTo(full, l);
+      WriteFieldsTo(full, ml, l);
+      full.cv = ml.aplv.conflict_vector();
       DRTP_CHECK_MSG(db.record(l) == full,
                      "incremental publish diverged on link " << l);
     }
+    db.CheckConflictIndex();
 #endif
   } else {
-    for (LinkId l = 0; l < topo_.num_links(); ++l) {
-      WriteRecordTo(db.record(l), l);
-    }
+    for (LinkId l = 0; l < topo_.num_links(); ++l) WriteRecordTo(db, l);
   }
   db.set_last_refresh(now);
   ++publish_seq_;
@@ -348,9 +355,7 @@ void DrtpNetwork::PublishFullTo(lsdb::LinkStateDb& db, Time now) const {
       obs::GetCounter("drtp.lsdb.publish_full");
   publishes.Add();
   DRTP_CHECK(db.num_links() == topo_.num_links());
-  for (LinkId l = 0; l < topo_.num_links(); ++l) {
-    WriteRecordTo(db.record(l), l);
-  }
+  for (LinkId l = 0; l < topo_.num_links(); ++l) WriteRecordTo(db, l);
   db.set_last_refresh(now);
   ++publish_seq_;
   db.SetPublishStamp(this, publish_seq_);

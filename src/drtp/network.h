@@ -175,9 +175,13 @@ class DrtpNetwork {
   /// below marks the links it touches.
   void MarkDirty(LinkId l);
   void MarkLinkUpDown(LinkId l, bool up);
-  /// Renders link `l`'s advertisement into `rec` in place (no allocation:
-  /// the conflict vector is copy-assigned into existing capacity).
-  void WriteRecordTo(lsdb::LinkRecord& rec, LinkId l) const;
+  /// Renders link `l`'s advertisement into `db` in place (no allocation:
+  /// the conflict vector is copied word by word into existing capacity,
+  /// keeping the db's conflict index in step).
+  void WriteRecordTo(lsdb::LinkStateDb& db, LinkId l) const;
+  /// Every advertised field but the conflict vector.
+  void WriteFieldsTo(lsdb::LinkRecord& rec, const ManagedLink& ml,
+                     LinkId l) const;
   void IndexPrimary(ConnId id, const routing::LinkSet& lset);
   void UnindexPrimary(ConnId id, const routing::LinkSet& lset);
 

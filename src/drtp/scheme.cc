@@ -12,13 +12,14 @@
 namespace drtp::core {
 namespace {
 
-/// Per-thread scratch for backup selection: the primary's LSET as a word
-/// mask (for ConflictVector::AndPopCount), the shunned-link set as an
-/// epoch-stamped array (O(marked) rebuild, no clear), and the routing
-/// workspaces. thread_local because the sweep runner evaluates scenarios
-/// on a pool.
+/// Per-thread scratch for backup selection: Eq. 5's conflict term per
+/// link, the shunned-link set as an epoch-stamped array (O(marked)
+/// rebuild, no clear), and the routing workspaces. thread_local because
+/// the sweep runner evaluates scenarios on a pool.
 struct LsrScratch {
-  std::vector<std::uint64_t> primary_mask;
+  /// conflict[i] = Σ_{j ∈ LSET} c_{i,j} for the current primary
+  /// (deterministic searches only).
+  std::vector<std::int32_t> conflict;
   /// Sorted-unique risk groups of the current primary (SRLG-aware modes
   /// only; empty otherwise).
   std::vector<SrlgId> primary_srlgs;
@@ -27,10 +28,7 @@ struct LsrScratch {
   routing::DijkstraWorkspace dijkstra;
   routing::MaxHopsWorkspace max_hops;
 
-  /// mask_words == 0 skips the mask rebuild (sparse CV scoring, or a
-  /// scheme that never reads it).
-  void Prepare(int num_links, int mask_words) {
-    primary_mask.assign(static_cast<std::size_t>(mask_words), 0);
+  void Prepare(int num_links) {
     if (shun_stamp.size() < static_cast<std::size_t>(num_links)) {
       shun_stamp.resize(static_cast<std::size_t>(num_links), 0);
     }
@@ -92,24 +90,19 @@ std::optional<routing::Path> SelectBackupLsr(
     const net::Topology& topo, const lsdb::LinkStateDb& db,
     const routing::LinkSet& primary, NodeId src, NodeId dst, Bandwidth bw,
     bool deterministic, std::span<const routing::Path> avoid, int max_hops,
-    CvScoring scoring, SrlgMode srlg_mode) {
+    SrlgMode srlg_mode) {
   // Sampled 1-in-4: runs once per admission at a few µs per call, where a
   // full span's clock reads are a measurable fraction of the kernel (the
   // CI obs-overhead gate budget; see docs/OBSERVABILITY.md).
   DRTP_OBS_SPAN_SAMPLED("drtp.kernel.backup_select", 2);
-  const int words = (topo.num_links() + 63) / 64;
-  const bool use_mask =
-      deterministic && (scoring == CvScoring::kMask ||
-                        (scoring == CvScoring::kAuto &&
-                         words <= kCvMaskMaxWords));
   LsrScratch& scratch = Scratch();
-  scratch.Prepare(topo.num_links(), use_mask ? words : 0);
-  for (LinkId l : primary) {
-    if (use_mask) {
-      scratch.primary_mask[static_cast<std::size_t>(l) / 64] |=
-          std::uint64_t{1} << (static_cast<unsigned>(l) % 64);
-    }
-    scratch.Shun(l);
+  scratch.Prepare(topo.num_links());
+  for (LinkId l : primary) scratch.Shun(l);
+  if (deterministic) {
+    // Eq. 5's conflict count for every link at once: the sum of the
+    // primary's columns of the db's transposed conflict matrix.
+    scratch.conflict.assign(static_cast<std::size_t>(topo.num_links()), 0);
+    db.AddConflictCounts(primary, scratch.conflict);
   }
   for (const routing::Path& path : avoid) {
     for (LinkId l : path.links()) scratch.Shun(l);
@@ -143,13 +136,9 @@ std::optional<routing::Path> SelectBackupLsr(
         // kSoft: usable, but only when nothing group-disjoint exists.
       }
     }
-    // Eq. 5's conflict count, by whichever access pattern fits the width:
-    // one AND+popcount sweep over the mask (~64 links per instruction) or
-    // |LSET| bit probes — the same exact integer either way.
     double c = deterministic
                    ? static_cast<double>(
-                         use_mask ? rec.cv.AndPopCount(scratch.primary_mask)
-                                  : rec.cv.CountIn(primary))
+                         scratch.conflict[static_cast<std::size_t>(l)])
                    : static_cast<double>(rec.aplv_l1);
     if (srlg_aware) {
       const SrlgId g = topo.srlg(l);

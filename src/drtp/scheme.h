@@ -108,32 +108,10 @@ enum class SrlgMode {
   kHard,
 };
 
-/// How D-LSR's Eq. 5 conflict term is evaluated per candidate link.
-/// Both strategies compute the same exact integer (hence the same cost,
-/// hence the same route); they differ only in access pattern.
-enum class CvScoring {
-  /// Pick by width: the word-wise mask sweep up to kCvMaskMaxWords words,
-  /// the per-bit probe beyond that.
-  kAuto,
-  /// cv.AndPopCount against the primary's precomputed bitmask — O(words)
-  /// per candidate, ~64 links per instruction. Wins when the whole mask
-  /// fits in a few cache lines (paper-scale graphs).
-  kMask,
-  /// cv.CountIn over the primary's LSET — O(|LSET|) probes per candidate,
-  /// independent of network width. Wins on wide graphs where a full-width
-  /// mask sweep would stream kilobytes per candidate.
-  kSparse,
-};
-
-/// kAuto switches from kMask to kSparse above this many 64-bit mask words
-/// (16 words = 1024 links — the mask still fits in two cache lines' worth
-/// of reads per candidate at that point, and a 60-node run stays on the
-/// exact pre-hybrid code path).
-inline constexpr int kCvMaskMaxWords = 16;
-
 /// Backup selection shared by the two link-state schemes: Dijkstra over
 /// Eq. 4 (deterministic == false, cost ||APLV||_1) or Eq. 5
-/// (deterministic == true, cost Σ c_{i,j} over the primary's LSET).
+/// (deterministic == true, cost Σ c_{i,j} over the primary's LSET, read
+/// for every link at once from the db's conflict index).
 /// Links of `avoid` routes are penalized like the primary's own links.
 /// max_hops > 0 restricts the search to QoS-feasible (delay-bounded)
 /// backups (§2: a backup longer than the QoS allows protects nothing);
@@ -148,8 +126,7 @@ std::optional<routing::Path> SelectBackupLsr(
     const net::Topology& topo, const lsdb::LinkStateDb& db,
     const routing::LinkSet& primary, NodeId src, NodeId dst, Bandwidth bw,
     bool deterministic, std::span<const routing::Path> avoid = {},
-    int max_hops = 0, CvScoring scoring = CvScoring::kAuto,
-    SrlgMode srlg_mode = SrlgMode::kOff);
+    int max_hops = 0, SrlgMode srlg_mode = SrlgMode::kOff);
 
 /// Registers up to `count` pairwise-disjoint backups for the connection's
 /// primary using scheme.SelectBackupFor, stopping early when no further

@@ -28,8 +28,7 @@ RouteSelection SrlgLsr::SelectRoutes(const DrtpNetwork& net,
   if (!sel.primary.has_value()) return sel;
   sel.backup = SelectBackupLsr(net.topology(), db, sel.primary->ToLinkSet(),
                                src, dst, bw, deterministic_, {},
-                               MaxHops(*sel.primary), CvScoring::kAuto,
-                               mode_);
+                               MaxHops(*sel.primary), mode_);
   return sel;
 }
 
@@ -39,7 +38,7 @@ std::optional<routing::Path> SrlgLsr::SelectBackupFor(
     std::span<const routing::Path> avoid) {
   return SelectBackupLsr(net.topology(), db, primary.ToLinkSet(),
                          primary.src(), primary.dst(), bw, deterministic_,
-                         avoid, MaxHops(primary), CvScoring::kAuto, mode_);
+                         avoid, MaxHops(primary), mode_);
 }
 
 RouteSelection SrlgPairScheme::SelectRoutes(const DrtpNetwork& net,
@@ -73,7 +72,7 @@ RouteSelection SrlgPairScheme::SelectRoutes(const DrtpNetwork& net,
   if (!sel.primary.has_value()) return sel;
   sel.backup = SelectBackupLsr(topo, db, sel.primary->ToLinkSet(), src, dst,
                                bw, /*deterministic=*/true, {}, /*max_hops=*/0,
-                               CvScoring::kAuto, SrlgMode::kHard);
+                               SrlgMode::kHard);
   return sel;
 }
 
@@ -86,7 +85,7 @@ std::optional<routing::Path> SrlgPairScheme::SelectBackupFor(
   return SelectBackupLsr(net.topology(), db, primary.ToLinkSet(),
                          primary.src(), primary.dst(), bw,
                          /*deterministic=*/true, avoid, /*max_hops=*/0,
-                         CvScoring::kAuto, SrlgMode::kHard);
+                         SrlgMode::kHard);
 }
 
 }  // namespace drtp::core

@@ -19,15 +19,6 @@ int ConflictVector::CountIn(const routing::LinkSet& lset) const {
   return count;
 }
 
-int ConflictVector::AndPopCount(std::span<const std::uint64_t> mask) const {
-  const std::size_t n = std::min(words_.size(), mask.size());
-  int count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    count += std::popcount(words_[i] & mask[i]);
-  }
-  return count;
-}
-
 bool operator==(const ConflictVector& a, const ConflictVector& b) {
   if (a.num_links_ != b.num_links_) return false;
   const std::size_t common = std::min(a.words_.size(), b.words_.size());

@@ -6,15 +6,22 @@
 // refresh interval of 0 it mirrors authoritative state instantly (the
 // paper's simulation assumption); a positive interval models advertisement
 // staleness for ablations.
+//
+// Alongside the records the database keeps the transpose of the
+// advertised conflict matrix: column j is the set of links i whose CV has
+// bit j. Eq. 5's term Σ_{j ∈ LSET(P)} c_{i,j} is then a sum of |LSET|
+// columns, computed for every link at once rather than one CV at a time.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
 #include "lsdb/conflict_vector.h"
 #include "lsdb/srlg_vector.h"
+#include "routing/path.h"
 
 namespace drtp::lsdb {
 
@@ -44,11 +51,7 @@ struct LinkRecord {
 /// Snapshot store of every link's advertisement.
 class LinkStateDb {
  public:
-  LinkStateDb(int num_links, int cv_width)
-      : records_(static_cast<std::size_t>(num_links)) {
-    DRTP_CHECK(num_links >= 0);
-    for (auto& r : records_) r.cv = ConflictVector(cv_width);
-  }
+  LinkStateDb(int num_links, int cv_width);
 
   int num_links() const { return static_cast<int>(records_.size()); }
 
@@ -56,10 +59,31 @@ class LinkStateDb {
     DRTP_DCHECK(l >= 0 && l < num_links());
     return records_[static_cast<std::size_t>(l)];
   }
+  /// Writable access for every field but `cv`: conflict vectors are
+  /// written through SetConflictVector, which keeps the conflict index in
+  /// step (CheckConflictIndex catches a CV written here).
   LinkRecord& record(LinkId l) {
     DRTP_DCHECK(l >= 0 && l < num_links());
     return records_[static_cast<std::size_t>(l)];
   }
+
+  // ---- conflict index -----------------------------------------------------
+
+  /// Overwrites link l's advertised CV with `cv` (same width). One pass
+  /// over the words copies them and flips one index bit per changed CV
+  /// bit: O(words) plus O(changed bits).
+  void SetConflictVector(LinkId l, const ConflictVector& cv);
+
+  /// Adds Σ_{j ∈ lset} c_{i,j} — Eq. 5's conflict term — to counts[i] for
+  /// every link i, by summing the lset's columns of the index.
+  /// `counts` must hold num_links() entries. Equals
+  /// record(i).cv.CountIn(lset) for every i.
+  void AddConflictCounts(const routing::LinkSet& lset,
+                         std::span<std::int32_t> counts) const;
+
+  /// Rebuilds the index from the records and DRTP_CHECKs that it equals
+  /// the maintained one. O(links · words); for self-checks and tests.
+  void CheckConflictIndex() const;
 
   Time last_refresh() const { return last_refresh_; }
   void set_last_refresh(Time t) { last_refresh_ = t; }
@@ -88,6 +112,16 @@ class LinkStateDb {
 
  private:
   std::vector<LinkRecord> records_;
+  int cv_width_ = 0;
+  /// The index layout follows the CV's width rule: dense bit columns up
+  /// to kWideLinkThreshold links, sorted sparse columns above it.
+  bool wide_ = false;
+  /// Dense layout: column j is words [j · row_words_, (j+1) · row_words_),
+  /// bit i set iff record(i).cv has bit j.
+  std::size_t row_words_ = 0;
+  std::vector<std::uint64_t> dense_columns_;
+  /// Wide layout: column j as the sorted ids of the links i.
+  std::vector<std::vector<LinkId>> sparse_columns_;
   Time last_refresh_ = -1.0;
   const void* publisher_ = nullptr;
   std::uint64_t publish_seq_ = 0;

@@ -3,6 +3,9 @@
 // (Figure 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "lsdb/aplv.h"
@@ -424,33 +427,6 @@ TEST(AplvWide, SparseMatchesDenseOracleAcrossThreshold) {
   }
 }
 
-TEST(ConflictVectorWide, CountInAndMaskSweepAgree) {
-  const int width = kWideLinkThreshold + 512;
-  Rng rng(99);
-  ConflictVector cv(width);
-  for (int i = 0; i < 300; ++i) {
-    cv.Set(static_cast<LinkId>(rng.Index(static_cast<std::size_t>(width))),
-           true);
-  }
-  std::vector<LinkId> raw;
-  for (int i = 0; i < 40; ++i) {
-    raw.push_back(
-        static_cast<LinkId>(rng.Index(static_cast<std::size_t>(width))));
-  }
-  const LinkSet lset = MakeLinkSet(std::move(raw));
-  std::vector<std::uint64_t> mask(static_cast<std::size_t>((width + 63) / 64),
-                                  0);
-  int oracle = 0;
-  for (LinkId j : lset) {
-    mask[static_cast<std::size_t>(j) / 64] |= std::uint64_t{1}
-                                              << (static_cast<unsigned>(j) %
-                                                  64);
-    if (cv.Test(j)) ++oracle;
-  }
-  EXPECT_EQ(cv.CountIn(lset), oracle);
-  EXPECT_EQ(cv.AndPopCount(mask), oracle);
-}
-
 TEST(ConflictVectorWide, EqualityIgnoresElidedTrailingWords) {
   const int width = kWideLinkThreshold + 1000;
   ConflictVector lazy(width);
@@ -477,6 +453,75 @@ TEST(LinkStateDb, RecordsAreIndependent) {
   EXPECT_EQ(db.record(2).aplv_l1, 9);
   EXPECT_EQ(db.record(1).aplv_l1, 0);
   EXPECT_EQ(db.record(2).available_for_backup, Mbps(3));
+}
+
+/// Randomized CV rewrites through SetConflictVector: each one toggles a
+/// few bits of one link's CV (sets and clears, biased toward a few hot
+/// columns) or clears it entirely. After every rewrite the summed index
+/// columns must equal CountIn on every record, for a random LSET and for
+/// one made of the hot columns, and the maintained index must equal one
+/// rebuilt from the records.
+void ConflictIndexChurn(int width, std::uint64_t seed) {
+  Rng rng(seed);
+  LinkStateDb db(width, width);
+  const auto pick = [&] {
+    return static_cast<LinkId>(rng.Index(static_cast<std::size_t>(width)));
+  };
+  std::vector<LinkId> hot;
+  for (int k = 0; k < 6; ++k) hot.push_back(pick());
+  const LinkSet hot_lset = MakeLinkSet(hot);
+  std::vector<std::int32_t> counts(static_cast<std::size_t>(width));
+  const auto expect_counts_match = [&](const LinkSet& lset, int step) {
+    std::fill(counts.begin(), counts.end(), 0);
+    db.AddConflictCounts(lset, counts);
+    for (LinkId i = 0; i < width; ++i) {
+      ASSERT_EQ(counts[static_cast<std::size_t>(i)],
+                db.record(i).cv.CountIn(lset))
+          << "width " << width << ", step " << step << ", link " << i;
+    }
+  };
+  for (int step = 0; step < 120; ++step) {
+    const LinkId i = pick();
+    ConflictVector cv = db.record(i).cv;
+    if (rng.Bernoulli(0.1)) {
+      cv = ConflictVector(width);
+    } else {
+      const int flips = static_cast<int>(rng.UniformInt(1, 12));
+      for (int k = 0; k < flips; ++k) {
+        const LinkId j = rng.Bernoulli(0.5) ? hot[rng.Index(hot.size())]
+                                            : pick();
+        cv.Set(j, !cv.Test(j));
+      }
+    }
+    db.SetConflictVector(i, cv);
+    ASSERT_EQ(db.record(i).cv, cv);
+    std::vector<LinkId> raw;
+    for (int k = 0; k < 20; ++k) raw.push_back(pick());
+    expect_counts_match(MakeLinkSet(std::move(raw)), step);
+    expect_counts_match(hot_lset, step);
+    db.CheckConflictIndex();
+  }
+}
+
+TEST(LinkStateDb, ConflictIndexMatchesCountIn) {
+  ConflictIndexChurn(200, 17);
+  ConflictIndexChurn(2126, 18);
+}
+
+TEST(LinkStateDbWide, ConflictIndexMatchesCountIn) {
+  ConflictIndexChurn(kWideLinkThreshold + 512, 99);
+}
+
+TEST(LinkStateDb, CheckConflictIndexCatchesBypassedCvWrite) {
+  for (const int width : {64, kWideLinkThreshold + 64}) {
+    LinkStateDb db(width, width);
+    ConflictVector cv(width);
+    cv.Set(7, true);
+    db.SetConflictVector(3, cv);
+    db.CheckConflictIndex();
+    db.record(3).cv.Set(9, true);  // behind the index's back
+    EXPECT_THROW(db.CheckConflictIndex(), CheckError) << "width " << width;
+  }
 }
 
 TEST(LinkStateDb, AdvertBytesScaleWithPayload) {

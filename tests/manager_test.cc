@@ -209,14 +209,19 @@ TEST(DemandVector, MatchesAplvUnderUniformBandwidth) {
 
 /// Randomized differential churn for the block-maximum tracking, in the
 /// dense layout at hier-1k's width and in the wide layout. Bandwidths are
-/// mixed, removals come in random order, and a third of them take away a
-/// LSET through a link that holds the maximum. After every operation the
-/// maximum and every element are compared with a recount.
-void DemandChurn(int num_links, std::uint64_t seed) {
+/// drawn from [1, max_bw] — mixed, or all equal when max_bw is 1, so that
+/// block maxima are often tied — removals come in random order, and a
+/// third of them take away a LSET through a link that holds the maximum.
+/// After every operation the maximum and every element are compared with
+/// a recount.
+void DemandChurn(int num_links, std::uint64_t seed, Bandwidth max_bw) {
   Rng rng(seed);
   DemandVector d(num_links);
   std::vector<LinkId> hot;
-  for (int i = 0; i < 16; ++i) hot.push_back((i * 131 + 5) % num_links);
+  // Hot links spread over many blocks, plus four sharing one block, so
+  // that maxima tie both across and within blocks.
+  for (int i = 0; i < 12; ++i) hot.push_back((i * 131 + 5) % num_links);
+  for (int i = 0; i < 4; ++i) hot.push_back(70 + 5 * i);
   struct Entry {
     routing::LinkSet lset;
     Bandwidth bw;
@@ -236,7 +241,7 @@ void DemandChurn(int num_links, std::uint64_t seed) {
                           : static_cast<LinkId>(rng.Index(
                                 static_cast<std::size_t>(num_links))));
       }
-      Entry e{MakeLinkSet(std::move(raw)), rng.UniformInt(1, 2000)};
+      Entry e{MakeLinkSet(std::move(raw)), rng.UniformInt(1, max_bw)};
       d.Add(e.lset, e.bw);
       for (LinkId j : e.lset) expect[static_cast<std::size_t>(j)] += e.bw;
       registered.push_back(std::move(e));
@@ -272,12 +277,15 @@ void DemandChurn(int num_links, std::uint64_t seed) {
 
 TEST(DemandVector, DifferentialChurnDenseAt1kWidth) {
   ASSERT_LE(2126, lsdb::kWideLinkThreshold);
-  DemandChurn(2126, 1);
-  DemandChurn(2126, 2);
+  DemandChurn(2126, 1, 2000);
+  DemandChurn(2126, 2, 2000);
+  DemandChurn(2126, 4, 1);
+  DemandChurn(2126, 5, 2);
 }
 
 TEST(DemandVector, DifferentialChurnWide) {
-  DemandChurn(lsdb::kWideLinkThreshold + 300, 3);
+  DemandChurn(lsdb::kWideLinkThreshold + 300, 3, 2000);
+  DemandChurn(lsdb::kWideLinkThreshold + 300, 6, 1);
 }
 
 }  // namespace

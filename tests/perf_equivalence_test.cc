@@ -6,12 +6,15 @@
 //     fallback),
 //   - the indexed failure evaluators must match the full-scan oracle
 //     (tests/oracle/failure_scan.h) exactly, sweep totals and per link,
-//   - the link->connection reverse indexes must match brute-force scans.
+//   - the link->connection reverse indexes must match brute-force scans,
+//   - the LSDB's transposed conflict index must give every link the same
+//     Eq. 5 term as its own record's CountIn.
 // CheckConsistency() rides along, which also re-validates every APLV
 // (including its incrementally kept maximum), every demand vector's
 // maximum and the down-link mirror. The CI sanitizer job runs this file under
 // ASan/UBSan in a Debug build, where PublishTo additionally self-checks
-// its incremental path against a full rewrite.
+// its incremental path against a full rewrite and its conflict index
+// against a rebuilt one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -102,31 +105,52 @@ std::vector<LinkId> LinksOf(const routing::Path& p) {
   return {p.links().begin(), p.links().end()};
 }
 
-/// At an admit point, the rewritten kernels must pick exactly the routes
-/// their retained reference implementations pick against the same db:
-/// bucket-queue min-hop primary vs the binary-heap formulation, and the
-/// two Eq. 5 conflict-scoring strategies against each other.
-void ExpectRouteKernelsAgree(const net::Topology& topo,
-                             const lsdb::LinkStateDb& db, NodeId src,
-                             NodeId dst) {
+/// At an admit point, the bucket-queue min-hop primary must be exactly
+/// the route its retained binary-heap reference picks against the same db.
+void ExpectPrimaryKernelsAgree(const net::Topology& topo,
+                               const lsdb::LinkStateDb& db, NodeId src,
+                               NodeId dst) {
   const auto radix = SelectPrimaryMinHop(topo, db, src, dst, Mbps(1));
   const auto binary =
       detail::SelectPrimaryMinHopBinaryHeap(topo, db, src, dst, Mbps(1));
   ASSERT_EQ(radix.has_value(), binary.has_value()) << src << "->" << dst;
   if (radix.has_value()) {
     ASSERT_EQ(LinksOf(*radix), LinksOf(*binary)) << src << "->" << dst;
-    const routing::LinkSet primary = radix->ToLinkSet();
-    const auto mask =
-        SelectBackupLsr(topo, db, primary, src, dst, Mbps(1),
-                        /*deterministic=*/true, {}, 0, CvScoring::kMask);
-    const auto sparse =
-        SelectBackupLsr(topo, db, primary, src, dst, Mbps(1),
-                        /*deterministic=*/true, {}, 0, CvScoring::kSparse);
-    ASSERT_EQ(mask.has_value(), sparse.has_value()) << src << "->" << dst;
-    if (mask.has_value()) {
-      ASSERT_EQ(LinksOf(*mask), LinksOf(*sparse)) << src << "->" << dst;
-    }
   }
+}
+
+/// D-LSR scores every candidate link from the db's conflict index. Its
+/// Eq. 5 term, the summed LSET columns, must equal the per-link definition
+/// record(i).cv.CountIn(lset) for every link, and the whole index must
+/// equal one rebuilt from the records.
+void ExpectConflictIndexMatches(const lsdb::LinkStateDb& db,
+                                const routing::LinkSet& lset) {
+  std::vector<std::int32_t> conflict(
+      static_cast<std::size_t>(db.num_links()), 0);
+  db.AddConflictCounts(lset, conflict);
+  for (LinkId i = 0; i < db.num_links(); ++i) {
+    ASSERT_EQ(conflict[static_cast<std::size_t>(i)],
+              db.record(i).cv.CountIn(lset))
+        << "link " << i;
+  }
+  db.CheckConflictIndex();
+}
+
+/// The LSETs the index is checked against after a churn step: a live
+/// primary's (the columns D-LSR actually sums) and random links.
+routing::LinkSet ProbeLset(const DrtpNetwork& net,
+                           const std::vector<ConnId>& live, Rng& rng) {
+  std::vector<LinkId> raw;
+  if (!live.empty()) {
+    const routing::LinkSet& primary =
+        net.Find(live[rng.Index(live.size())])->primary_lset;
+    raw.assign(primary.begin(), primary.end());
+  }
+  const auto links = static_cast<std::size_t>(net.topology().num_links());
+  for (int i = 0; i < 8; ++i) {
+    raw.push_back(static_cast<LinkId>(rng.Index(links)));
+  }
+  return routing::MakeLinkSet(std::move(raw));
 }
 
 void RunRandomizedSequence(const net::Topology& topo, bool duplex,
@@ -154,7 +178,7 @@ void RunRandomizedSequence(const net::Topology& topo, bool duplex,
       const NodeId src = static_cast<NodeId>(rng.Index(nodes));
       NodeId dst = static_cast<NodeId>(rng.Index(nodes));
       if (dst == src) dst = (dst + 1) % topo.num_nodes();
-      ExpectRouteKernelsAgree(topo, db, src, dst);
+      ExpectPrimaryKernelsAgree(topo, db, src, dst);
       const RouteSelection sel = scheme.SelectRoutes(net, db, src, dst,
                                                      Mbps(1));
       if (sel.primary.has_value() &&
@@ -194,9 +218,11 @@ void RunRandomizedSequence(const net::Topology& topo, bool duplex,
 
     net.PublishTo(db, t);
     ExpectDbMatches(net, db);
+    ExpectConflictIndexMatches(db, ProbeLset(net, live, rng));
     if (op % 7 == 0) {
       net.PublishTo(db_lagged, t);
       ExpectDbMatches(net, db_lagged);
+      ExpectConflictIndexMatches(db_lagged, ProbeLset(net, live, rng));
       // ...and the primary db must survive having lost the latest stamp.
       net.PublishTo(db, t);
       ExpectDbMatches(net, db);
