@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/error.h"
@@ -71,37 +73,51 @@ struct EvalScratch {
   std::vector<ConnId> affected;
 };
 
-/// The channel-switching rule: the index of the first backup of `conn`
-/// that can be promoted, or conn.backups.size() when none can.
+/// The channel-switching rule: the index of the first backup that can be
+/// promoted, or `backups` when none can. `credit` lists the primary's
+/// links and `charge(b)` backup b's links: whole paths when a failure is
+/// enacted or a single what-if is answered, only the deciding links in
+/// the sweep (see SweepTable).
 ///
 /// ActivateBackup releases the old primary and then force-reserves the
 /// promoted route from spare+free, so the primary's bandwidth is credited
 /// on each of its links first. Each backup is then charged link by link
-/// and rejected at the first link short of `conn.bw` (every failed or
-/// down link is); a rejected backup's charges are rolled back before the
-/// next one is tried. The balance of a link repeated on the backup only
-/// falls along the walk, so checking every step is the same as checking
-/// spare + free + bw·occurrences(primary) ≥ bw·occurrences(backup) per
-/// distinct link. The primary's credit and the chosen backup's charge
-/// stay in `scratch`: connections decided later in the same epoch contend
-/// with them. O(h_primary + h_backups) per connection.
-std::size_t SwitchOver(const DrtpNetwork& net, const DrConnection& conn,
-                       EvalScratch& scratch) {
-  for (LinkId l : conn.primary.links()) scratch.Available(net, l) += conn.bw;
-  for (std::size_t b = 0; b < conn.backups.size(); ++b) {
-    const std::span<const LinkId> links = conn.backups[b].links();
+/// and rejected at the first link short of `bw` (every failed or down
+/// link is); a rejected backup's charges are rolled back before the next
+/// one is tried. A backup never repeats a link (its registration would
+/// fail), so its links are charged independently and the decision does
+/// not depend on the order they are listed in; checking every step is the
+/// same as checking spare + free + bw·occurrences(primary) ≥ bw per link.
+/// The primary's credit and the chosen backup's charge stay in `scratch`:
+/// connections decided later in the same epoch contend with them.
+/// O(|credit| + Σ |charge(b)|) per connection.
+template <typename ChargeOf>
+std::size_t SwitchOver(const DrtpNetwork& net, Bandwidth bw,
+                       std::span<const LinkId> credit, std::size_t backups,
+                       ChargeOf charge, EvalScratch& scratch) {
+  for (LinkId l : credit) scratch.Available(net, l) += bw;
+  for (std::size_t b = 0; b < backups; ++b) {
+    const std::span<const LinkId> links = charge(b);
     std::size_t charged = 0;
     for (; charged < links.size(); ++charged) {
       Bandwidth& left = scratch.Available(net, links[charged]);
-      if (left < conn.bw) break;
-      left -= conn.bw;
+      if (left < bw) break;
+      left -= bw;
     }
     if (charged == links.size()) return b;
     for (std::size_t k = 0; k < charged; ++k) {
-      scratch.Available(net, links[k]) += conn.bw;
+      scratch.Available(net, links[k]) += bw;
     }
   }
-  return conn.backups.size();
+  return backups;
+}
+
+/// SwitchOver over `conn`'s whole paths.
+std::size_t SwitchOver(const DrtpNetwork& net, const DrConnection& conn,
+                       EvalScratch& scratch) {
+  return SwitchOver(
+      net, conn.bw, conn.primary.links(), conn.backups.size(),
+      [&](std::size_t b) { return conn.backups[b].links(); }, scratch);
 }
 
 /// Ascending-id union of the primaries crossing each failed link, built
@@ -152,6 +168,195 @@ FailureImpact EvaluateLinkFailureWith(const DrtpNetwork& net,
   return impact;
 }
 
+/// The links that can refuse an activation when up to `k` links fail
+/// together, ascending: the down ones, and the up ones whose spare + free
+/// is below k times their spare target.
+///
+/// Every other link x can never refuse a charge. Within one failure's
+/// epoch, x is charged only by backups of connections whose primary
+/// crosses a failed link j, at most once per connection (its backups are
+/// link-disjoint), and each such backup counts toward x's demand[j]. So
+/// the charges sum to at most Σ_j demand[j] ≤ k · max_j demand[j], the
+/// kMultiplexed target; under kDedicated they are bounded by the target
+/// itself, the bandwidth of every backup on x. Credits only raise the
+/// balance, so each charge meets at least spare + free − (k · target −
+/// bw) ≥ bw.
+std::vector<LinkId> DecidingLinks(const DrtpNetwork& net, Bandwidth k) {
+  const net::Topology& topo = net.topology();
+  std::vector<LinkId> deciding;
+  for (LinkId l = 0; l < topo.num_links(); ++l) {
+    if (!net.IsLinkUp(l) ||
+        net.ledger().spare(l) + net.ledger().free(l) <
+            k * net.manager(topo.link(l).src).SpareTarget(l)) {
+      deciding.push_back(l);
+    }
+  }
+  return deciding;
+}
+
+/// Sorts (key, link) pairs into compressed rows: key k's links, in the
+/// order the pairs list them, are links[begin[k], begin[k + 1]).
+void GroupByKey(std::size_t keys,
+                std::span<const std::pair<std::uint32_t, LinkId>> pairs,
+                std::vector<std::uint32_t>& begin, std::vector<LinkId>& links) {
+  begin.assign(keys + 1, 0);
+  for (const auto& [key, l] : pairs) ++begin[key + 1];
+  for (std::size_t k = 0; k < keys; ++k) begin[k + 1] += begin[k];
+  std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
+  links.resize(pairs.size());
+  for (const auto& [key, l] : pairs) links[next[key]++] = l;
+}
+
+/// One sweep's view of the connection table: per connection, in id
+/// order, its bandwidth and the deciding links of its primary and of each
+/// backup. Filled from the deciding links' reverse indexes, so building
+/// it costs the map walk plus the deciding links' entries, not the
+/// paths. Invalidated by any connection mutation.
+class SweepTable {
+ public:
+  SweepTable(const DrtpNetwork& net, std::span<const LinkId> deciding) {
+    const std::size_t rows = net.connections().size();
+    ids_.reserve(rows);
+    conns_.reserve(rows);
+    bw_.reserve(rows);
+    slot_begin_.reserve(rows + 1);
+    slot_begin_.push_back(0);
+    for (const auto& [id, conn] : net.connections()) {
+      ids_.push_back(id);
+      conns_.push_back(&conn);
+      bw_.push_back(conn.bw);
+      slot_begin_.push_back(slot_begin_.back() +
+                            static_cast<std::uint32_t>(conn.backups.size()));
+    }
+
+    // Primary and backup lists live in separate arrays: one shared array
+    // would let the last backup's range run into the next row's primary.
+    std::vector<std::pair<std::uint32_t, LinkId>> pairs;
+    for (LinkId d : deciding) {
+      std::size_t r = 0;
+      for (ConnId id : net.PrimaryConnsOn(d)) {
+        r = Row(id, r);
+        const routing::Path& primary = conns_[r]->primary;
+        // A primary that repeats d reserved, and releases, bw per pass.
+        const auto passes =
+            primary.links().size() == conns_[r]->primary_lset.size()
+                ? 1
+                : std::count(primary.links().begin(), primary.links().end(),
+                             d);
+        pairs.insert(pairs.end(), static_cast<std::size_t>(passes),
+                     {static_cast<std::uint32_t>(r), d});
+      }
+    }
+    GroupByKey(rows, pairs, primary_begin_, primary_links_);
+
+    pairs.clear();
+    for (LinkId d : deciding) {
+      std::size_t r = 0;
+      for (ConnId id : net.BackupConnsOn(d)) {
+        r = Row(id, r);
+        pairs.emplace_back(static_cast<std::uint32_t>(SlotOn(r, d)), d);
+      }
+    }
+    GroupByKey(slot_begin_.back(), pairs, backup_begin_, backup_links_);
+  }
+
+  /// Row of connection `id`, searching from row `from` up (ids ascend).
+  std::size_t Row(ConnId id, std::size_t from) const {
+    const auto it = std::lower_bound(
+        ids_.begin() + static_cast<std::ptrdiff_t>(from), ids_.end(), id);
+    DRTP_DCHECK(it != ids_.end() && *it == id);
+    return static_cast<std::size_t>(it - ids_.begin());
+  }
+
+  /// Slot of row r's backup that crosses link `l`. Only a connection with
+  /// several backups needs its paths searched.
+  std::size_t SlotOn(std::size_t r, LinkId l) const {
+    const std::size_t first = slot_begin_[r];
+    if (slot_begin_[r + 1] - first == 1) return first;
+    const std::vector<routing::Path>& backups = conns_[r]->backups;
+    std::size_t b = 0;
+    while (b < backups.size() && !backups[b].Contains(l)) ++b;
+    DRTP_DCHECK(b < backups.size());
+    return first + b;
+  }
+
+  Bandwidth bw(std::size_t r) const { return bw_[r]; }
+  std::size_t first_slot(std::size_t r) const { return slot_begin_[r]; }
+  std::size_t num_backups(std::size_t r) const {
+    return slot_begin_[r + 1] - slot_begin_[r];
+  }
+  std::size_t num_slots() const { return slot_begin_.back(); }
+  std::span<const LinkId> primary_links(std::size_t r) const {
+    return {primary_links_.data() + primary_begin_[r],
+            primary_begin_[r + 1] - primary_begin_[r]};
+  }
+  std::span<const LinkId> backup_links(std::size_t slot) const {
+    return {backup_links_.data() + backup_begin_[slot],
+            backup_begin_[slot + 1] - backup_begin_[slot]};
+  }
+
+ private:
+  std::vector<ConnId> ids_;
+  std::vector<const DrConnection*> conns_;
+  std::vector<Bandwidth> bw_;
+  /// Row r's backups are slots [slot_begin_[r], slot_begin_[r + 1]).
+  std::vector<std::uint32_t> slot_begin_;
+  std::vector<std::uint32_t> primary_begin_;
+  std::vector<LinkId> primary_links_;
+  std::vector<std::uint32_t> backup_begin_;
+  std::vector<LinkId> backup_links_;
+};
+
+/// EvaluateLinkFailureWith over the table's deciding links. A backup that
+/// crosses a failed link is charged at that link alone, which refuses it;
+/// those are found by merging each failed link's backup index with the
+/// affected ids, both ascending.
+FailureImpact EvaluateDecidingLinks(const DrtpNetwork& net,
+                                    std::span<const LinkId> failed_set,
+                                    const SweepTable& table,
+                                    EvalScratch& scratch,
+                                    std::vector<std::size_t>& rows,
+                                    std::vector<std::uint32_t>& refused) {
+  FailureImpact impact;
+  CollectAffectedPrimaries(net, failed_set, scratch.affected);
+  if (scratch.affected.empty()) return impact;
+
+  rows.clear();
+  std::size_t r = 0;
+  for (ConnId id : scratch.affected) {
+    r = table.Row(id, r);
+    rows.push_back(r);
+  }
+  scratch.NewEpoch(failed_set);
+  for (LinkId f : failed_set) {
+    const std::span<const ConnId> on = net.BackupConnsOn(f);
+    std::size_t i = 0;
+    for (ConnId id : on) {
+      while (i < rows.size() && scratch.affected[i] < id) ++i;
+      if (i == rows.size()) break;
+      if (scratch.affected[i] == id) {
+        refused[table.SlotOn(rows[i], f)] = scratch.epoch;
+      }
+    }
+  }
+
+  const std::span<const LinkId> at_failed_link = failed_set.first(1);
+  for (std::size_t row : rows) {
+    ++impact.attempts;
+    const std::size_t first = table.first_slot(row);
+    const std::size_t backups = table.num_backups(row);
+    const auto charge = [&](std::size_t b) {
+      return refused[first + b] == scratch.epoch ? at_failed_link
+                                                 : table.backup_links(first + b);
+    };
+    if (SwitchOver(net, table.bw(row), table.primary_links(row), backups,
+                   charge, scratch) < backups) {
+      ++impact.activated;
+    }
+  }
+  return impact;
+}
+
 }  // namespace
 
 FailureImpact EvaluateLinkFailure(const DrtpNetwork& net, LinkId failed) {
@@ -169,27 +374,44 @@ FailureImpactDetail EvaluateLinkFailureDetailed(const DrtpNetwork& net,
   return detail;
 }
 
-Ratio EvaluateAllSingleLinkFailures(const DrtpNetwork& net) {
+Ratio EvaluateAllSingleLinkFailures(const DrtpNetwork& net,
+                                    std::vector<FailureImpact>* per_link) {
   DRTP_OBS_SPAN("drtp.kernel.failure_sweep");
   Ratio ratio;
   const net::Topology& topo = net.topology();
+  if (per_link != nullptr) {
+    per_link->assign(static_cast<std::size_t>(topo.num_links()), {});
+  }
+  const bool duplex = net.config().duplex_failures;
+  const std::vector<LinkId> deciding = DecidingLinks(net, duplex ? 2 : 1);
+  const SweepTable table(net, deciding);
   EvalScratch scratch(topo.num_links());
+  std::vector<std::size_t> rows;
+  std::vector<std::uint32_t> refused(table.num_slots(), 0);
   LinkId failed_set[2];
   for (LinkId l = 0; l < topo.num_links(); ++l) {
     if (!net.IsLinkUp(l)) continue;
     std::size_t n = 1;
     failed_set[0] = l;
     // Under duplex failures, count each physical fiber once.
-    if (net.config().duplex_failures) {
+    if (duplex) {
       const LinkId rev = topo.link(l).reverse;
       if (rev != kInvalidLink) {
         if (rev < l) continue;
         failed_set[n++] = rev;
       }
     }
+    const std::span<const LinkId> failed{failed_set, n};
     const FailureImpact impact =
-        EvaluateLinkFailureWith(net, {failed_set, n}, scratch);
+        EvaluateDecidingLinks(net, failed, table, scratch, rows, refused);
+#ifndef NDEBUG
+    // Restricting the walk to deciding links must not change a decision.
+    const FailureImpact full = EvaluateLinkFailureWith(net, failed, scratch);
+    DRTP_DCHECK(full.attempts == impact.attempts &&
+                full.activated == impact.activated);
+#endif
     ratio.AddMany(impact.activated, impact.attempts);
+    if (per_link != nullptr) (*per_link)[static_cast<std::size_t>(l)] = impact;
   }
   return ratio;
 }

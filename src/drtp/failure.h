@@ -7,7 +7,9 @@
 // failure reporting, channel switching and resource reconfiguration. Both
 // decide each affected connection with one linear switchover rule (credit
 // the primary, charge each backup in turn, roll back a rejected one), so
-// the analysis predicts exactly what the switchover enacts. The full-scan
+// the analysis predicts exactly what the switchover enacts; the P_bk sweep
+// applies the same rule to the only links that can refuse an activation.
+// The full-scan
 // reference evaluators with the original per-distinct-link fit formula
 // live in test code (tests/oracle/failure_scan.h).
 #pragma once
@@ -52,11 +54,25 @@ FailureImpactDetail EvaluateLinkFailureDetailed(const DrtpNetwork& net,
                                                 LinkId failed);
 
 /// Aggregates EvaluateLinkFailure over every link; links that disable no
-/// primary contribute nothing. The Ratio's value() is P_bk. Reuses one
-/// scratch workspace across the whole sweep — no per-link allocation —
-/// and costs O(Σ (h_primary + h_backups)) over the (failed link, affected
-/// connection) pairs.
-Ratio EvaluateAllSingleLinkFailures(const DrtpNetwork& net);
+/// primary contribute nothing. The Ratio's value() is P_bk. When
+/// `per_link` is non-null it receives, at the index of each failed set's
+/// lowest link, that set's impact (zero elsewhere).
+///
+/// The sweep credits and charges only the deciding links: those down, or
+/// holding less spare + free than k times their §5 spare target, where k
+/// is the number of links one failure takes down (2 under
+/// duplex_failures). No other link can refuse an activation, because the
+/// spare target already covers every backup a single failed link sends
+/// to it. One table per sweep, built from the deciding links' reverse
+/// indexes, lists each connection's deciding links. With C connections,
+/// L links and E_d reverse-index entries on deciding links, building it
+/// costs O(C + L + E_d log C); each (failed link, affected connection)
+/// pair then costs O(log C + d_p + d_b), where d_p and d_b count the
+/// deciding links of the primary and backups, and each failed link adds
+/// one merge of its backup index. Reuses one scratch workspace across the
+/// whole sweep — no per-link allocation.
+Ratio EvaluateAllSingleLinkFailures(
+    const DrtpNetwork& net, std::vector<FailureImpact>* per_link = nullptr);
 
 /// Result of actually failing a link.
 struct SwitchoverReport {
